@@ -15,8 +15,8 @@ use parscan_core::{
 };
 use parscan_graph::generators;
 use parscan_server::{
-    serve_engine, serve_with_config, serve_with_store_and_config, BatchExecutor, EngineConfig,
-    GraphRegistry, QueryEngine, Request, Response, ServeConfig,
+    serve, BatchExecutor, EngineConfig, GraphRegistry, QueryEngine, RegistryConfig, Request,
+    Response, ServeConfig,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -52,14 +52,22 @@ fn main() {
     let n = (4000.0 * scale()) as usize;
     let (g, _) = generators::planted_partition(n, 16, 12.0, 1.5, 7);
     let m = g.num_edges();
-    let index = Arc::new(ScanIndex::build(g, IndexConfig::default()));
-    let engine = Arc::new(QueryEngine::new(
-        Arc::clone(&index),
-        EngineConfig {
-            cache_capacity: 256,
+    // One registry hosts the engine for every scenario, in-process and
+    // served, so cache and counter state carries across them.
+    let registry = Arc::new(GraphRegistry::new(
+        "default",
+        RegistryConfig {
+            engine: EngineConfig {
+                cache_capacity: 256,
+                ..Default::default()
+            },
             ..Default::default()
         },
     ));
+    let engine = registry
+        .install("default", ScanIndex::build(g, IndexConfig::default()))
+        .expect("install");
+    let index = engine.index();
     let points = grid();
     println!(
         "server bench: n={n} m={m} points={} breakpoints={}",
@@ -137,9 +145,6 @@ fn main() {
         }
     });
     engine.clear_cache();
-    // The registry hosts the same engine instance, so cache/counter
-    // state carries across scenarios exactly as before.
-    let registry = GraphRegistry::single(Arc::clone(&engine));
     let (batch_secs, responses) =
         secs(|| BatchExecutor::new(&registry).execute(&workload, |_| Response::Pong));
     assert_eq!(responses.len(), workload.len());
@@ -294,7 +299,7 @@ fn main() {
     );
 
     // --- TCP round-trip latency on the hot path -----------------------
-    let server = serve_engine(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let server = serve(Arc::clone(&registry), "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut line = String::new();
@@ -322,12 +327,8 @@ fn main() {
     // tax the hot path, because idle fds cost one slab slot each and
     // zero worker or reactor time.
     let idle_target = (2000.0 * scale()) as usize;
-    let server = serve_with_config(
-        GraphRegistry::single(Arc::clone(&engine)),
-        "127.0.0.1:0",
-        ServeConfig::default(),
-    )
-    .expect("bind saturated server");
+    let server = serve(Arc::clone(&registry), "127.0.0.1:0", ServeConfig::default())
+        .expect("bind saturated server");
     let (idle_open_secs, idle_sessions) = secs(|| {
         let mut sessions = Vec::with_capacity(idle_target);
         while sessions.len() < idle_target {
@@ -370,8 +371,8 @@ fn main() {
     // and closes, instead of parking it. Price that refusal.
     const SHED_CAP: usize = 64;
     const SHED_PROBES: usize = 100;
-    let server = serve_with_config(
-        GraphRegistry::single(Arc::clone(&engine)),
+    let server = serve(
+        Arc::clone(&registry),
         "127.0.0.1:0",
         ServeConfig {
             max_connections: SHED_CAP,
@@ -422,11 +423,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&store_dir);
     std::fs::create_dir_all(&store_dir).expect("create store dir");
     let store = Arc::new(parscan_store::IndexStore::open(&store_dir).expect("open store"));
-    let server = serve_with_store_and_config(
-        GraphRegistry::single(Arc::clone(&engine)),
-        Arc::clone(&store),
+    let server = serve(
+        Arc::clone(&registry),
         "127.0.0.1:0",
         ServeConfig {
+            store: Some(Arc::clone(&store)),
             deadline: Some(std::time::Duration::from_millis(250)),
             ..Default::default()
         },

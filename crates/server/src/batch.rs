@@ -14,9 +14,13 @@
 //! query-level).
 //!
 //! A batch may mix graphs — each command resolves through the
-//! [`GraphRegistry`] — but it can never mutate the registry:
-//! `LOAD`/`UNLOAD` are rejected at parse time, so a batch only ever
-//! reads resident indexes.
+//! [`GraphRegistry`] — but it can never mutate the registry or an index:
+//! `LOAD`/`UNLOAD`/`SAVE` and `INSERT`/`DELETE`/`APPLY` are rejected
+//! (at parse time, and again here for programmatic batches), so a batch
+//! only ever reads resident indexes. Its other read-only commands —
+//! `PROBE`, `SWEEP`, `STATS`, `LIST`, `PING` — are answered by the
+//! caller, which is how the server routes them through its one request
+//! dispatcher.
 //!
 //! # Examples
 //!
@@ -41,9 +45,10 @@
 //! assert!(Arc::ptr_eq(&a.clustering, &b.clustering));
 //! ```
 
-use crate::engine::{ClusterOutcome, CoalesceAbandoned, QueryEngine};
+use crate::engine::{ClusterOutcome, QueryEngine};
 use crate::protocol::{Request, Response};
 use crate::registry::GraphRegistry;
+use parscan_core::QueryParams;
 use parscan_parallel::primitives::par_map;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -53,7 +58,7 @@ pub struct BatchExecutor<'r> {
     registry: &'r GraphRegistry,
 }
 
-/// Per-request execution plan for the clustering commands.
+/// Per-request execution plan.
 enum Plan {
     /// Runs (or shares) distinct computation `slot`; the representative
     /// is the request whose execution metadata (cached, micros)
@@ -62,11 +67,26 @@ enum Plan {
         slot: usize,
         representative: bool,
         graph: String,
+        params: QueryParams,
+        full: bool,
     },
-    /// Graph resolution failed at planning time.
-    Error(String),
-    /// Everything that is not a clustering query; handled at fan-out.
-    Other,
+    /// Answered by the caller's `answer`.
+    Answer,
+    /// Already answered at planning time: an unknown graph, or a command
+    /// a batch may not carry.
+    Done(Response),
+}
+
+/// Run one distinct query to completion on this thread. `None` means its
+/// coalescing leader died. Pool workers never follow another
+/// computation (see [`QueryEngine::cluster_deferred`]), so under
+/// `par_map` the answer is always inline.
+fn run(engine: &Arc<QueryEngine>, params: QueryParams) -> Option<ClusterOutcome> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    engine.cluster_deferred(params, move |outcome| {
+        let _ = tx.send(outcome);
+    });
+    rx.recv().ok().flatten()
 }
 
 impl<'r> BatchExecutor<'r> {
@@ -75,152 +95,116 @@ impl<'r> BatchExecutor<'r> {
     }
 
     /// Execute `requests`, returning one response per request in order.
-    /// `stats` supplies the response for embedded `STATS` commands, given
-    /// the command's graph address (the caller owns session bookkeeping
-    /// this module knows nothing about).
-    pub fn execute<F>(&self, requests: &[Request], stats: F) -> Vec<Response>
-    where
-        F: Fn(Option<&str>) -> Response,
-    {
+    /// `answer` supplies the response to every read-only command other
+    /// than `CLUSTER` (the caller owns the session and store context
+    /// those need).
+    pub fn execute(
+        &self,
+        requests: &[Request],
+        answer: impl Fn(&Request) -> Response,
+    ) -> Vec<Response> {
         // Deduplicate clustering work by (graph, μ, ε-class): one
         // execution per distinct key, shared by every duplicate in the
         // batch. ε classes are engine-specific, so the key is snapped
         // per resolved graph.
-        let mut distinct: Vec<(Arc<QueryEngine>, parscan_core::QueryParams)> = Vec::new();
+        let mut distinct: Vec<(Arc<QueryEngine>, QueryParams)> = Vec::new();
         let mut key_to_slot: HashMap<(String, u32, u32), usize> = HashMap::new();
-        let mut plans: Vec<Plan> = Vec::with_capacity(requests.len());
-        for req in requests {
-            match req {
-                Request::Cluster { graph, params, .. } => {
-                    match self.registry.get(graph.as_deref()) {
-                        Ok((canonical, engine)) => {
-                            let (eps_class, _) = engine.snap_epsilon(params.epsilon);
-                            let key = (canonical.clone(), params.mu, eps_class);
-                            let mut first = false;
-                            let slot = *key_to_slot.entry(key).or_insert_with(|| {
-                                first = true;
-                                distinct.push((engine, *params));
-                                distinct.len() - 1
-                            });
-                            plans.push(Plan::Cluster {
-                                slot,
-                                representative: first,
-                                graph: canonical,
-                            });
-                        }
-                        Err(e) => plans.push(Plan::Error(e.to_string())),
-                    }
-                }
-                _ => plans.push(Plan::Other),
-            }
-        }
-
-        // Run the distinct clustering queries as one flat parallel job —
-        // but only when there are enough of them to fill the pool. Pool
-        // workers collapse nested parallel calls to sequential, so a
-        // small batch under par_map would run each query single-threaded;
-        // below the thread count, intra-query parallelism wins.
-        let outcomes: Vec<Result<ClusterOutcome, CoalesceAbandoned>> =
-            if distinct.len() < parscan_parallel::pool::num_threads() {
-                distinct.iter().map(|(e, p)| e.try_cluster(*p)).collect()
-            } else {
-                par_map(distinct.len(), 1, |i| {
-                    let (e, p) = &distinct[i];
-                    e.try_cluster(*p)
-                })
-            };
-
-        requests
+        let plans: Vec<Plan> = requests
             .iter()
-            .zip(&plans)
-            .map(|(req, plan)| match req {
-                Request::Cluster { params, full, .. } => match plan {
-                    Plan::Error(message) => Response::Error {
-                        message: message.clone(),
-                    },
-                    Plan::Cluster {
-                        slot,
-                        representative,
-                        graph,
-                    } => {
-                        let mut outcome = match &outcomes[*slot] {
-                            Ok(outcome) => outcome.clone(),
-                            Err(abandoned) => {
-                                return Response::Retryable {
-                                    message: abandoned.to_string(),
-                                    reason: "coalesce",
-                                }
-                            }
-                        };
-                        if !representative {
-                            // Duplicates consumed a shared result: report
-                            // their own ε snap and hit-like metadata, not
-                            // the representative's execution cost.
-                            let engine = &distinct[*slot].0;
-                            let (eps_class, eps_snapped) = engine.snap_epsilon(params.epsilon);
-                            outcome.eps_class = eps_class;
-                            outcome.eps_snapped = eps_snapped;
-                            outcome.cached = true;
-                            outcome.coalesced = false;
-                            outcome.micros = 0;
-                        }
-                        Response::Cluster {
-                            graph: graph.clone(),
+            .map(|req| match req {
+                Request::Cluster {
+                    graph,
+                    params,
+                    full,
+                } => match self.registry.get(graph.as_deref()) {
+                    Ok((canonical, engine)) => {
+                        let (eps_class, _) = engine.snap_epsilon(params.epsilon);
+                        let key = (canonical.clone(), params.mu, eps_class);
+                        let mut representative = false;
+                        let slot = *key_to_slot.entry(key).or_insert_with(|| {
+                            representative = true;
+                            distinct.push((engine, *params));
+                            distinct.len() - 1
+                        });
+                        Plan::Cluster {
+                            slot,
+                            representative,
+                            graph: canonical,
                             params: *params,
-                            outcome,
                             full: *full,
                         }
                     }
-                    Plan::Other => unreachable!("cluster requests always have a cluster plan"),
-                },
-                Request::Probe {
-                    graph,
-                    vertex,
-                    params,
-                } => match self.registry.get(graph.as_deref()) {
-                    Ok((canonical, engine)) => match engine.probe(*vertex, *params) {
-                        Ok(probe) => Response::Probe {
-                            graph: canonical,
-                            vertex: *vertex,
-                            params: *params,
-                            probe,
-                        },
-                        Err(message) => Response::Error { message },
-                    },
-                    Err(e) => Response::Error {
+                    Err(e) => Plan::Done(Response::Error {
                         message: e.to_string(),
-                    },
+                    }),
                 },
-                Request::Sweep { graph, eps_step } => match self.registry.get(graph.as_deref()) {
-                    Ok((canonical, engine)) => match engine.sweep_best(*eps_step) {
-                        Ok(best) => Response::Sweep {
-                            graph: canonical,
-                            best,
-                        },
-                        Err(message) => Response::Error { message },
-                    },
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                },
-                Request::Stats { graph } => stats(graph.as_deref()),
-                Request::List => Response::List {
-                    default: self.registry.default_name().to_string(),
-                    graphs: self.registry.list(),
-                    // Batches run without store context; top-level LIST
-                    // carries the persisted set.
-                    persisted: None,
-                },
-                Request::Ping => Response::Pong,
+                Request::Probe { .. }
+                | Request::Sweep { .. }
+                | Request::Stats { .. }
+                | Request::List
+                | Request::Ping => Plan::Answer,
                 Request::Batch(_)
                 | Request::Quit
                 | Request::Shutdown
                 | Request::Load { .. }
                 | Request::Unload { .. }
                 | Request::Save { .. }
-                | Request::Apply { .. } => Response::Error {
+                | Request::Apply { .. } => Plan::Done(Response::Error {
                     message: "command not allowed inside a batch".into(),
-                },
+                }),
+            })
+            .collect();
+
+        // Run the distinct clustering queries as one flat parallel job —
+        // but only when there are enough of them to fill the pool. Pool
+        // workers collapse nested parallel calls to sequential, so a
+        // small batch under par_map would run each query single-threaded;
+        // below the thread count, intra-query parallelism wins.
+        let outcomes: Vec<Option<ClusterOutcome>> =
+            if distinct.len() < parscan_parallel::pool::num_threads() {
+                distinct.iter().map(|(e, p)| run(e, *p)).collect()
+            } else {
+                par_map(distinct.len(), 1, |i| {
+                    let (e, p) = &distinct[i];
+                    run(e, *p)
+                })
+            };
+
+        requests
+            .iter()
+            .zip(plans)
+            .map(|(req, plan)| match plan {
+                Plan::Done(response) => response,
+                Plan::Answer => answer(req),
+                Plan::Cluster {
+                    slot,
+                    representative,
+                    graph,
+                    params,
+                    full,
+                } => {
+                    let Some(mut outcome) = outcomes[slot].clone() else {
+                        return Response::abandoned();
+                    };
+                    if !representative {
+                        // Duplicates consumed a shared result: report
+                        // their own ε snap and hit-like metadata, not the
+                        // representative's execution cost.
+                        let engine = &distinct[slot].0;
+                        let (eps_class, eps_snapped) = engine.snap_epsilon(params.epsilon);
+                        outcome.eps_class = eps_class;
+                        outcome.eps_snapped = eps_snapped;
+                        outcome.cached = true;
+                        outcome.coalesced = false;
+                        outcome.micros = 0;
+                    }
+                    Response::Cluster {
+                        graph,
+                        params,
+                        outcome,
+                        full,
+                    }
+                }
             })
             .collect()
     }
@@ -240,13 +224,20 @@ mod tests {
         r
     }
 
-    fn stats_stub(_graph: Option<&str>) -> Response {
+    /// The server's dispatcher, answering a batch's non-CLUSTER commands.
+    fn dispatcher(r: &Arc<GraphRegistry>) -> impl Fn(&Request) -> Response {
+        let config = crate::reactor::ServeConfig::default();
+        let shared = Arc::new(crate::server::ServerShared::new(Arc::clone(r), &config));
+        move |req| crate::server::answer_inline(&shared, req, 0)
+    }
+
+    fn stats_stub(_: &Request) -> Response {
         Response::Pong
     }
 
     #[test]
     fn batch_preserves_request_order_and_dedups() {
-        let r = registry();
+        let r = Arc::new(registry());
         let p1 = QueryParams::new(2, 0.3);
         let p2 = QueryParams::new(3, 0.5);
         let requests = vec![
@@ -273,7 +264,7 @@ mod tests {
                 params: p1,
             },
         ];
-        let responses = BatchExecutor::new(&r).execute(&requests, stats_stub);
+        let responses = BatchExecutor::new(&r).execute(&requests, dispatcher(&r));
         assert_eq!(responses.len(), 5);
         let (a, c) = match (&responses[0], &responses[2]) {
             (Response::Cluster { outcome: a, .. }, Response::Cluster { outcome: c, .. }) => (a, c),
@@ -330,7 +321,7 @@ mod tests {
 
     #[test]
     fn errors_inside_batches_are_per_request() {
-        let r = registry();
+        let r = Arc::new(registry());
         let requests = vec![
             Request::Probe {
                 graph: None,
@@ -349,7 +340,7 @@ mod tests {
                 full: false,
             },
         ];
-        let responses = BatchExecutor::new(&r).execute(&requests, stats_stub);
+        let responses = BatchExecutor::new(&r).execute(&requests, dispatcher(&r));
         assert!(matches!(responses[0], Response::Error { .. }));
         assert!(matches!(responses[1], Response::Cluster { .. }));
         let Response::Error { message } = &responses[2] else {

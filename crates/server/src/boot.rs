@@ -19,8 +19,7 @@
 //!    a larger working set than the current `--budget` allows, and the
 //!    pinned default always gets the first claim on memory.
 
-use crate::engine::EngineConfig;
-use crate::registry::{GraphRegistry, RegistryError};
+use crate::registry::{GraphRegistry, LoadOutcome, LoadResult};
 use parscan_core::ScanIndex;
 use parscan_store::{AuditKind, IndexStore, ManifestEntry};
 use std::sync::Mutex;
@@ -87,7 +86,7 @@ pub fn warm_boot(registry: &GraphRegistry, store: &IndexStore) -> WarmBootReport
             .expect("par_for_weighted visits every index");
         match loaded {
             Ok(index) => match admit(registry, entry, index) {
-                Ok(()) => {
+                Ok((_, LoadOutcome::Loaded)) => {
                     let _ = store.record(
                         AuditKind::Load,
                         Some(&entry.name),
@@ -95,6 +94,9 @@ pub fn warm_boot(registry: &GraphRegistry, store: &IndexStore) -> WarmBootReport
                     );
                     report.loaded.push(entry.name.clone());
                 }
+                Ok(_) => report
+                    .skipped
+                    .push((entry.name.clone(), "already resident".into())),
                 Err(e) => report.skipped.push((entry.name.clone(), e.to_string())),
             },
             Err(e) => report
@@ -107,18 +109,19 @@ pub fn warm_boot(registry: &GraphRegistry, store: &IndexStore) -> WarmBootReport
     report
 }
 
-fn admit(
-    registry: &GraphRegistry,
-    entry: &ManifestEntry,
-    index: ScanIndex,
-) -> Result<(), RegistryError> {
-    let config = EngineConfig {
-        cache_capacity: entry.cache_capacity.max(1),
-        ..registry.engine_config()
-    };
-    registry
-        .install_with_config(&entry.name, index, config)
-        .map(|_| ())
+/// Admit one loaded snapshot with its persisted cache capacity.
+fn admit(registry: &GraphRegistry, entry: &ManifestEntry, index: ScanIndex) -> LoadResult {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let cache_capacity = Some(entry.cache_capacity.max(1));
+    registry.load(
+        &entry.name,
+        cache_capacity,
+        || Ok(index),
+        move |result| {
+            let _ = tx.send(result);
+        },
+    );
+    rx.recv().expect("load answers exactly once")
 }
 
 #[cfg(test)]

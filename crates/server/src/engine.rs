@@ -26,9 +26,13 @@
 //! because neither result is cached yet when the second arrives. The
 //! engine closes it with a per-key in-flight table: the first cold miss
 //! (the *leader*) registers a once-cell slot, computes, and publishes;
-//! every concurrent miss on the same key (a *follower*) blocks on the
-//! slot instead of recomputing. Followers are counted as cache hits
-//! (they did not compute) and additionally as [`EngineStats::coalesced_waits`].
+//! every concurrent miss on the same key (a *follower*) waits on the
+//! slot instead of recomputing — blocking in [`QueryEngine::cluster`],
+//! by callback in [`QueryEngine::cluster_deferred`]. Followers are
+//! counted as cache hits (they did not compute) and additionally as
+//! [`EngineStats::coalesced_waits`]. A follower whose leader dies is
+//! answered at once: `cluster_deferred` reports the abandonment, and
+//! `cluster` computes directly.
 //!
 //! # Live mutation: epoch publishing
 //!
@@ -55,7 +59,7 @@
 //! out of the LRU instead of ever being served stale.
 
 use crate::cache::ShardedLru;
-use crate::coalesce::{Coalescer, Entry};
+use crate::coalesce::{Cell, Coalescer, Entry};
 use crate::{lock_mutex, read_lock, write_lock};
 use parscan_core::{
     apply_batch_diff, BatchUpdate, BorderAssignment, Clustering, QueryOptions, QueryParams,
@@ -66,12 +70,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-/// Completion callback for [`QueryEngine::cluster_deferred`]. Receives
-/// `None` when the coalescing leader abandoned the computation (it
-/// panicked); the caller answers with a retryable error instead of
-/// re-running the work on whatever thread the cancellation fired on.
-pub type ClusterCallback = Box<dyn FnOnce(Option<ClusterOutcome>) + Send>;
-
 /// Engine construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -79,10 +77,6 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Number of independently locked cache shards.
     pub cache_shards: usize,
-    /// Border policy for served queries. The default is the
-    /// deterministic [`BorderAssignment::MostSimilar`], so identical
-    /// requests always receive identical answers (cached or not).
-    pub border: BorderAssignment,
 }
 
 impl Default for EngineConfig {
@@ -90,22 +84,24 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_capacity: 128,
             cache_shards: 8,
-            border: BorderAssignment::MostSimilar,
         }
     }
 }
 
-/// Cache key: the publication epoch, μ, and the ε equivalence class
-/// (plus the border policy, which changes the answer). Keying by epoch
-/// makes entries from superseded indexes unreachable the moment a new
-/// epoch publishes — even a racing insert from a reader that snapshotted
-/// the old epoch can only create a key no current reader asks for.
+/// Served queries assign borders deterministically, so identical
+/// requests always receive identical answers (cached or not).
+const BORDER: BorderAssignment = BorderAssignment::MostSimilar;
+
+/// Cache key: the publication epoch, μ, and the ε equivalence class.
+/// Keying by epoch makes entries from superseded indexes unreachable the
+/// moment a new epoch publishes — even a racing insert from a reader
+/// that snapshotted the old epoch can only create a key no current
+/// reader asks for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct CacheKey {
     epoch: u64,
     mu: u32,
     eps_class: u32,
-    most_similar: bool,
 }
 
 /// One immutable publication of the serving state: the index, its ε
@@ -124,6 +120,70 @@ impl Published {
         let snapped = self.breakpoints.get(class).copied().unwrap_or(epsilon);
         (class as u32, snapped)
     }
+
+    /// The cache key for `params` against this publication, and the
+    /// class's canonical ε.
+    fn key(&self, params: QueryParams) -> (CacheKey, f32) {
+        let (eps_class, eps_snapped) = self.snap_epsilon(params.epsilon);
+        let key = CacheKey {
+            epoch: self.epoch,
+            mu: params.mu,
+            eps_class,
+        };
+        (key, eps_snapped)
+    }
+}
+
+/// One clustering request bound to one publication. The snapshot is
+/// taken and the cache key formed exactly once, here, so a concurrent
+/// update can never mix state from two publications inside one query.
+struct Query {
+    published: Arc<Published>,
+    params: QueryParams,
+    key: CacheKey,
+    eps_snapped: f32,
+    start: Instant,
+}
+
+impl Query {
+    fn new(published: Arc<Published>, params: QueryParams) -> Query {
+        let start = Instant::now();
+        let (key, eps_snapped) = published.key(params);
+        Query {
+            published,
+            params,
+            key,
+            eps_snapped,
+            start,
+        }
+    }
+
+    fn outcome(
+        &self,
+        clustering: Arc<Clustering>,
+        cached: bool,
+        coalesced: bool,
+    ) -> ClusterOutcome {
+        ClusterOutcome {
+            clustering,
+            cached,
+            coalesced,
+            micros: self.start.elapsed().as_micros() as u64,
+            eps_class: self.key.eps_class,
+            eps_snapped: self.eps_snapped,
+            epoch: self.key.epoch,
+        }
+    }
+}
+
+/// Where [`QueryEngine::lookup`] left a request.
+enum Lookup {
+    /// Answered: a cache hit, or a computation this caller led.
+    Done(ClusterOutcome),
+    /// Another caller is computing the same key. The adapter waits on
+    /// the cell — by blocking or by callback — and settles the request
+    /// with [`QueryEngine::follow`].
+    Follow(Arc<Cell<Arc<Clustering>>>, Query),
 }
 
 /// Monotonically increasing serving counters.
@@ -200,31 +260,6 @@ pub struct ClusterOutcome {
     pub epoch: u64,
 }
 
-/// How many dead coalescing leaders one request will outlive before the
-/// engine gives up on the key. Three is generous: a transient panic
-/// (allocation pressure, a poisoned dependency that recovers) clears in
-/// one retry, while a deterministic crash makes every retry die
-/// identically — more attempts only lengthen the convoy.
-pub const MAX_LEADER_RETRIES: u32 = 3;
-
-/// Every coalescing leader this request waited on panicked before
-/// publishing a result ([`MAX_LEADER_RETRIES`] of them). The condition
-/// is transient by construction — the next leader may succeed — so wire
-/// paths map it to a `retryable:true` / `reason:"coalesce"` response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoalesceAbandoned;
-
-impl std::fmt::Display for CoalesceAbandoned {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "clustering abandoned: {MAX_LEADER_RETRIES} coalescing leaders failed; retry"
-        )
-    }
-}
-
-impl std::error::Error for CoalesceAbandoned {}
-
 /// Outcome of one [`QueryEngine::apply_update`] call.
 #[derive(Clone, Copy, Debug)]
 pub struct UpdateOutcome {
@@ -267,7 +302,6 @@ pub struct QueryEngine {
     /// Keys whose clustering is being computed right now; see the module
     /// docs on in-flight coalescing.
     inflight: Coalescer<CacheKey, Arc<Clustering>>,
-    border: BorderAssignment,
     counters: Counters,
 }
 
@@ -298,14 +332,8 @@ impl QueryEngine {
             update_lock: Mutex::new(()),
             cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
             inflight: Coalescer::new(),
-            border: config.border,
             counters: Counters::default(),
         }
-    }
-
-    /// Convenience: build an engine with [`EngineConfig::default`].
-    pub fn with_default_config(index: Arc<ScanIndex>) -> Self {
-        Self::new(index, EngineConfig::default())
     }
 
     /// One consistent snapshot of the serving state.
@@ -337,284 +365,131 @@ impl QueryEngine {
         self.published().snap_epsilon(epsilon)
     }
 
-    /// Serve one clustering query through the cache. This is the
-    /// client-facing path: it is the only one (with [`Self::try_cluster`])
-    /// that moves the `cluster_requests` / hit / miss counters, so
-    /// `cache_hits + cache_misses == cluster_requests` always holds.
+    /// Serve one clustering query through the cache, blocking while an
+    /// identical in-flight computation finishes. If that computation's
+    /// leader dies, this call (which has no error channel) computes
+    /// directly instead; the request still counts as one miss.
     pub fn cluster(&self, params: QueryParams) -> ClusterOutcome {
-        self.counters
-            .cluster_requests
-            .fetch_add(1, Ordering::Relaxed);
-        match self.cluster_inner(params, true, true) {
-            Ok(out) => out,
-            Err(CoalesceAbandoned) => {
-                // Every coalescing leader for this key panicked and this
-                // API has no error channel: compute directly, outside
-                // the in-flight table. Bounded work — never a spin —
-                // and if the computation itself is what panics, this
-                // thread unwinds like any leader would.
-                let start = Instant::now();
-                let published = self.published();
-                let (eps_class, eps_snapped) = published.snap_epsilon(params.epsilon);
-                let clustering = Arc::new(self.compute(&published.index, params));
-                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let out = ClusterOutcome {
-                    clustering,
-                    cached: false,
-                    coalesced: false,
-                    micros: start.elapsed().as_micros() as u64,
-                    eps_class,
-                    eps_snapped,
-                    epoch: published.epoch,
-                };
-                self.counters
-                    .compute_micros
-                    .fetch_add(out.micros, Ordering::Relaxed);
-                out
-            }
+        match self.lookup(params) {
+            Lookup::Done(outcome) => outcome,
+            Lookup::Follow(cell, query) => self.follow(&query, cell.wait()).unwrap_or_else(|| {
+                let clustering = self.compute(&query.published.index, query.params);
+                query.outcome(clustering, false, false)
+            }),
         }
     }
 
-    /// [`Self::cluster`] with the abandonment surfaced: after
-    /// [`MAX_LEADER_RETRIES`] coalescing leaders die under this request,
-    /// return the typed error instead of computing directly. The wire
-    /// paths use this so a client sees `retryable:true` rather than
-    /// having its request ride a possibly-doomed computation.
-    pub fn try_cluster(&self, params: QueryParams) -> Result<ClusterOutcome, CoalesceAbandoned> {
-        self.counters
-            .cluster_requests
-            .fetch_add(1, Ordering::Relaxed);
-        let result = self.cluster_inner(params, true, true);
-        if result.is_err() {
-            // The request is still answered (with an error), so the
-            // ledger stays exact: an abandoned computation is a miss.
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// The shared query path. With `use_cache` false the cache is neither
-    /// consulted nor populated (and no coalescing happens) — used by bulk
-    /// work like sweeps that would otherwise evict every hot entry of a
-    /// smaller cache. With `count` false the hit/miss counters stay
-    /// untouched (internal work must not skew client-facing serving
-    /// stats); `compute_micros` accumulates whenever a computation ran,
-    /// since it measures computation, not traffic.
-    ///
-    /// The published snapshot is taken once, up front: epoch, breakpoint
-    /// table, and index all come from it, so a concurrent update can
-    /// never mix state from two publications inside one query.
-    fn cluster_inner(
-        &self,
+    /// [`Self::cluster`] for the reactor's workers: `notify` runs exactly
+    /// once — inline for cache hits and led computations, later on the
+    /// leader's thread when this request follows an in-flight one — so a
+    /// worker never parks on another request's progress. `None` means
+    /// the leader died (it panicked); the caller answers with a
+    /// retryable error instead of re-running the work on whatever thread
+    /// the cancellation fired on.
+    pub fn cluster_deferred(
+        self: &Arc<Self>,
         params: QueryParams,
-        use_cache: bool,
-        count: bool,
-    ) -> Result<ClusterOutcome, CoalesceAbandoned> {
-        let start = Instant::now();
-        let published = self.published();
-        let (eps_class, eps_snapped) = published.snap_epsilon(params.epsilon);
-        let key = CacheKey {
-            epoch: published.epoch,
-            mu: params.mu,
-            eps_class,
-            most_similar: self.border == BorderAssignment::MostSimilar,
-        };
-        let epoch = published.epoch;
-        let finish = |clustering: Arc<Clustering>, cached: bool, coalesced: bool| ClusterOutcome {
-            clustering,
-            cached,
-            coalesced,
-            micros: start.elapsed().as_micros() as u64,
-            eps_class,
-            eps_snapped,
-            epoch,
-        };
-        if !use_cache {
-            let clustering = Arc::new(self.compute(&published.index, params));
-            let out = finish(clustering, false, false);
-            self.counters
-                .compute_micros
-                .fetch_add(out.micros, Ordering::Relaxed);
-            return Ok(out);
-        }
-        // Pool workers must never block on another thread's computation:
-        // the leader may itself need the (single, global) pool for its
-        // own query phases, and a worker blocked on the coalescing
-        // condvar stalls its whole job — a circular wait that would hang
-        // every query in the process. Workers therefore skip the
-        // in-flight table entirely: cache hit if available, otherwise
-        // compute directly — a rare duplicate computation instead of a
-        // possible deadlock.
-        if parscan_parallel::pool::in_pool() {
-            if let Some(hit) = self.cache.get(&key) {
-                if count {
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(finish(hit, true, false));
-            }
-            let clustering = Arc::new(self.compute(&published.index, params));
-            self.cache.insert(key, Arc::clone(&clustering));
-            if count {
-                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let out = finish(clustering, false, false);
-            self.counters
-                .compute_micros
-                .fetch_add(out.micros, Ordering::Relaxed);
-            return Ok(out);
-        }
-        // The loop only repeats when a coalescing leader abandoned its
-        // computation (unwound); the retrying follower then competes to
-        // become leader itself. *Bounded*: a deterministic crash in the
-        // computation makes every new leader die the same way, and an
-        // unbounded loop would spin a convoy of followers forever. After
-        // `MAX_LEADER_RETRIES` dead leaders, give up with a typed error.
-        let mut abandoned = 0u32;
-        loop {
-            if let Some(hit) = self.cache.get(&key) {
-                if count {
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(finish(hit, true, false));
-            }
-            // Cold so far: register as the computation leader for this
-            // key, or join an already in-flight computation as follower.
-            // The cache is re-probed under the coalescer's table lock: a
-            // leader publishes to the cache *before* deregistering, so a
-            // miss there with no registered cell proves nobody is (or
-            // was just) computing this key.
-            match self.inflight.enter_with(key, || self.cache.get(&key)) {
-                Ok(hit) => {
-                    if count {
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(finish(hit, true, false));
-                }
-                Err(Entry::Follower(cell)) => {
-                    let Some(result) = cell.wait() else {
-                        // Leader unwound; retry from the top, a bounded
-                        // number of times.
-                        abandoned += 1;
-                        if abandoned >= MAX_LEADER_RETRIES {
-                            return Err(CoalesceAbandoned);
-                        }
-                        continue;
-                    };
-                    if count {
-                        // A coalesced wait is a hit (answered without
-                        // computing) that additionally moved the
-                        // coalescing counter; see
-                        // `EngineStats::coalesced_waits`.
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        self.counters
-                            .coalesced_waits
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(finish(result, true, true));
-                }
-                Err(Entry::Leader(guard)) => {
-                    // Compute, publish to the cache, then deregister +
-                    // wake followers through the guard. The guard
-                    // cancels the cell if the computation unwinds.
-                    let clustering = Arc::new(self.compute(&published.index, params));
-                    self.cache.insert(key, Arc::clone(&clustering));
-                    guard.publish(Arc::clone(&clustering));
-                    if count {
-                        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let out = finish(clustering, false, false);
-                    self.counters
-                        .compute_micros
-                        .fetch_add(out.micros, Ordering::Relaxed);
-                    return Ok(out);
-                }
+        notify: impl FnOnce(Option<ClusterOutcome>) + Send + 'static,
+    ) {
+        match self.lookup(params) {
+            Lookup::Done(outcome) => notify(Some(outcome)),
+            Lookup::Follow(cell, query) => {
+                let engine = Arc::clone(self);
+                cell.on_ready(move |result| notify(engine.follow(&query, result)));
             }
         }
     }
 
-    /// Event-driven sibling of [`Self::cluster`] for the reactor's
-    /// worker pool: `notify` is invoked exactly once with the outcome —
-    /// inline on this thread for cache hits and led computations,
-    /// later on the leader's thread for coalesced followers. A worker
-    /// thread therefore never parks on another request's progress.
+    /// The one clustering path behind both adapters. Counts the request,
+    /// then probes the cache; only a miss touches the in-flight table,
+    /// which re-probes under its lock (a leader publishes to the cache
+    /// before deregistering, so a miss there with no registered cell
+    /// proves nobody is, or was just, computing this key). The caller
+    /// then leads the computation or follows the one already running.
     ///
-    /// Counter semantics match the blocking path (a coalesced
-    /// completion is a hit + coalesced_wait); an abandoned computation
-    /// is accounted as a miss so the request ledger
-    /// (`cluster_requests == cache_hits + cache_misses`) stays exact.
-    pub fn cluster_deferred(self: &Arc<Self>, params: QueryParams, notify: ClusterCallback) {
+    /// Ledger: every request is a hit or a miss once settled, so
+    /// `cluster_requests == cache_hits + cache_misses` holds — except
+    /// for a leader whose computation panics, which counts only in
+    /// `cluster_requests`.
+    fn lookup(&self, params: QueryParams) -> Lookup {
         self.counters
             .cluster_requests
             .fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
-        let published = self.published();
-        let (eps_class, eps_snapped) = published.snap_epsilon(params.epsilon);
-        let key = CacheKey {
-            epoch: published.epoch,
-            mu: params.mu,
-            eps_class,
-            most_similar: self.border == BorderAssignment::MostSimilar,
+        let query = Query::new(self.published(), params);
+        let entry = match self.cache.get(&query.key) {
+            Some(hit) => Ok(hit),
+            // Pool workers must never block on another thread's
+            // computation: the leader may itself need the (single,
+            // global) pool for its query phases, and a worker parked on
+            // a follower cell stalls its whole job — a circular wait
+            // that would hang every query in the process. Workers
+            // therefore compute directly: a rare duplicate computation
+            // instead of a possible deadlock.
+            None if parscan_parallel::pool::in_pool() => Err(None),
+            None => self
+                .inflight
+                .enter_with(query.key, || self.cache.get(&query.key))
+                .map_err(Some),
         };
-        let epoch = published.epoch;
-        let outcome =
-            move |clustering: Arc<Clustering>, cached: bool, coalesced: bool| ClusterOutcome {
-                clustering,
-                cached,
-                coalesced,
-                micros: start.elapsed().as_micros() as u64,
-                eps_class,
-                eps_snapped,
-                epoch,
-            };
-        match self.inflight.enter_with(key, || self.cache.get(&key)) {
+        let guard = match entry {
             Ok(hit) => {
                 self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                notify(Some(outcome(hit, true, false)));
+                return Lookup::Done(query.outcome(hit, true, false));
             }
-            Err(Entry::Follower(cell)) => {
-                let engine = Arc::clone(self);
-                cell.on_ready(move |result| match result {
-                    Some(clustering) => {
-                        engine.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        engine
-                            .counters
-                            .coalesced_waits
-                            .fetch_add(1, Ordering::Relaxed);
-                        notify(Some(outcome(clustering, true, true)));
-                    }
-                    None => {
-                        engine.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        notify(None);
-                    }
-                });
-            }
-            Err(Entry::Leader(guard)) => {
-                let clustering = Arc::new(self.compute(&published.index, params));
-                self.cache.insert(key, Arc::clone(&clustering));
-                guard.publish(Arc::clone(&clustering));
-                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let out = outcome(clustering, false, false);
+            Err(Some(Entry::Follower(cell))) => return Lookup::Follow(cell, query),
+            Err(Some(Entry::Leader(guard))) => Some(guard),
+            Err(None) => None,
+        };
+        // Lead: compute, publish to the cache, then deregister and wake
+        // followers through the guard, which cancels the cell instead if
+        // the computation unwinds.
+        let clustering = self.compute(&query.published.index, query.params);
+        self.cache.insert(query.key, Arc::clone(&clustering));
+        if let Some(guard) = guard {
+            guard.publish(Arc::clone(&clustering));
+        }
+        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        Lookup::Done(query.outcome(clustering, false, false))
+    }
+
+    /// Settle a follower once its leader's cell resolves. A coalesced
+    /// wait is a hit (answered without computing) that also moves
+    /// `coalesced_waits`; a follower whose leader died is a miss and
+    /// gets `None`.
+    fn follow(&self, query: &Query, result: Option<Arc<Clustering>>) -> Option<ClusterOutcome> {
+        match result {
+            Some(clustering) => {
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 self.counters
-                    .compute_micros
-                    .fetch_add(out.micros, Ordering::Relaxed);
-                notify(Some(out));
+                    .coalesced_waits
+                    .fetch_add(1, Ordering::Relaxed);
+                Some(query.outcome(clustering, true, true))
+            }
+            None => {
+                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                None
             }
         }
     }
 
-    /// Run the clustering computation itself (no cache, no counters)
-    /// against one publication's index.
-    fn compute(&self, index: &ScanIndex, params: QueryParams) -> Clustering {
+    /// Run the clustering computation itself against one publication's
+    /// index, adding its wall time to `compute_micros`.
+    fn compute(&self, index: &ScanIndex, params: QueryParams) -> Arc<Clustering> {
+        let start = Instant::now();
         // Torture hook: a `panic` policy here is how tests kill a
         // coalescing leader mid-computation; a `delay` policy is how
         // they park a worker. Error policies have no channel at this
         // site and are ignored.
         let _ = failpoint::check("engine.compute");
         let opts = QueryOptions {
-            border: self.border,
+            border: BORDER,
             ..Default::default()
         };
-        index.cluster_with_opts(params, opts)
+        let clustering = index.cluster_with_opts(params, opts);
+        self.counters
+            .compute_micros
+            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        Arc::new(clustering)
     }
 
     /// Apply a batch of edge mutations and publish the updated index as
@@ -756,8 +631,9 @@ impl QueryEngine {
     /// whole grid fits in half its capacity — a full sweep through a
     /// small cache would evict every hot entry other sessions rely on —
     /// so "repeated sweeps are hits" holds exactly when caching them is
-    /// harmless. Sweep-internal queries never move the client-facing
-    /// request/hit/miss counters (only `compute_micros`).
+    /// harmless. The whole grid runs against one snapshot, and its
+    /// queries never move the client-facing request/hit/miss counters
+    /// (only `compute_micros`).
     ///
     /// `eps_step` is bounded below (0.005, ≤ 199 ε points) because this
     /// runs on behalf of untrusted network clients: an arbitrarily small
@@ -766,8 +642,8 @@ impl QueryEngine {
         if !(0.005..1.0).contains(&eps_step) {
             return Err(format!("eps_step must be in [0.005, 1), got {eps_step}"));
         }
-        let index = self.index();
-        let g = index.graph();
+        let published = self.published();
+        let g = published.index.graph();
         let max_mu = (g.max_degree() as u32 + 1).max(2);
         // Exact multiples (not repeated addition, which drifts in f32) so
         // the grid matches what SweepGrid-based callers evaluate.
@@ -783,10 +659,15 @@ impl QueryEngine {
         let use_cache = points.len() <= self.cache.capacity() / 2;
         let mut best: Option<SweepBest> = None;
         for params in points {
-            let outcome = self
-                .cluster_inner(params, use_cache, false)
-                .map_err(|e| e.to_string())?;
-            let c = &outcome.clustering;
+            let (key, _) = published.key(params);
+            let cached = use_cache.then(|| self.cache.get(&key)).flatten();
+            let c = cached.unwrap_or_else(|| {
+                let c = self.compute(&published.index, params);
+                if use_cache {
+                    self.cache.insert(key, Arc::clone(&c));
+                }
+                c
+            });
             let score = if c.num_clusters() == 0 {
                 f64::NEG_INFINITY
             } else {
@@ -854,7 +735,6 @@ mod tests {
             EngineConfig {
                 cache_capacity: capacity,
                 cache_shards: 2,
-                ..Default::default()
             },
         )
     }
@@ -1091,7 +971,6 @@ mod tests {
             EngineConfig {
                 cache_capacity: 16,
                 cache_shards: 2,
-                ..Default::default()
             },
         )
     }
@@ -1222,9 +1101,9 @@ mod tests {
     }
 
     // The always-panicking-leader test (every coalescing leader dies at
-    // the `engine.compute` failpoint; followers must terminate with
-    // `CoalesceAbandoned` instead of spinning) lives in
-    // `tests/server_deadlines.rs`: the failpoint registry is
-    // process-global, and arming a panic policy here would crash
-    // unrelated unit tests running in parallel threads of this binary.
+    // the `engine.compute` failpoint; followers must be told the
+    // computation was abandoned) lives in `tests/server_deadlines.rs`:
+    // the failpoint registry is process-global, and arming a panic
+    // policy here would crash unrelated unit tests running in parallel
+    // threads of this binary.
 }

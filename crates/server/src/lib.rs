@@ -17,23 +17,23 @@
 //! - [`GraphRegistry`] ([`registry`]): several named resident engines in
 //!   one process, with a byte-budgeted LRU admission/eviction policy
 //!   over estimated index footprints and coalesced `LOAD`s.
-//! - [`BatchExecutor`] ([`batch`]): deduplicates a mixed workload
-//!   (`cluster`, `sweep`, `stats`, vertex probes — possibly across
-//!   graphs) and runs the distinct clustering queries as one flat
-//!   parallel job on [`parscan_parallel::pool`].
+//! - [`BatchExecutor`] ([`batch`]): deduplicates the clustering queries
+//!   of a mixed workload (possibly across graphs) and runs the distinct
+//!   ones as one flat parallel job on [`parscan_parallel::pool`].
 //! - [`serve`] ([`server`]): a line/JSON protocol ([`protocol`]) over
 //!   `std::net::TcpListener` — a readiness-polled reactor multiplexes
 //!   every connection on one thread (10k+ idle sessions in a bounded
-//!   thread count) and a small worker pool executes requests, with
-//!   admission control that sheds load past [`ServeConfig`] bounds,
-//!   graceful shutdown that flushes in-flight responses, and
+//!   thread count) and a small worker pool hands each request to one
+//!   dispatcher, with admission control that sheds load past
+//!   [`ServeConfig`] bounds, an optional durable store, graceful
+//!   shutdown that flushes in-flight responses, and
 //!   request/latency/hit-rate counters ([`EngineStats`],
 //!   [`RegistryStats`], [`protocol::ReactorStats`]).
 //!
 //! ## Quick start
 //!
 //! ```
-//! use parscan_server::{serve, GraphRegistry, RegistryConfig};
+//! use parscan_server::{serve, GraphRegistry, RegistryConfig, ServeConfig};
 //! use parscan_core::{IndexConfig, ScanIndex};
 //! use std::io::{BufRead, BufReader, Write};
 //! use std::sync::Arc;
@@ -50,7 +50,7 @@
 //! assert!(!engine.cluster(parscan_core::QueryParams::new(3, 0.4)).cached);
 //!
 //! // Or over TCP (port 0 = OS-assigned); `@alt` addresses the second graph.
-//! let server = serve(registry, "127.0.0.1:0").unwrap();
+//! let server = serve(registry, "127.0.0.1:0", ServeConfig::default()).unwrap();
 //! let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
 //! conn.write_all(b"@alt CLUSTER 3 0.4\n").unwrap();
 //! let mut line = String::new();
@@ -77,21 +77,17 @@ pub use batch::BatchExecutor;
 pub use boot::{warm_boot, WarmBootReport};
 pub use cache::ShardedLru;
 pub use engine::{
-    ClusterOutcome, CoalesceAbandoned, EngineConfig, EngineStats, QueryEngine, SweepBest,
-    UpdateOutcome,
+    ClusterOutcome, EngineConfig, EngineStats, QueryEngine, SweepBest, UpdateOutcome,
 };
 pub use protocol::{
     parse_request, FaultStats, ReactorStats, Request, Response, StatsGraph, StoreStats,
 };
 pub use reactor::ServeConfig;
 pub use registry::{
-    validate_graph_name, GraphInfo, GraphRegistry, LoadOutcome, RegistryConfig, RegistryError,
-    RegistryStats,
+    build_index_from_path, validate_graph_name, GraphInfo, GraphRegistry, LoadOutcome,
+    RegistryConfig, RegistryError, RegistryStats,
 };
-pub use server::{
-    serve, serve_engine, serve_with_config, serve_with_store, serve_with_store_and_config,
-    ServerHandle,
-};
+pub use server::{serve, ServerHandle};
 
 /// Lock a mutex, recovering from poisoning — a panicked holder must not
 /// wedge the serving layer (shared by the engine's in-flight table and

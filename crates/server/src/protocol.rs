@@ -575,6 +575,15 @@ fn json_core_ids(c: &Clustering) -> String {
 }
 
 impl Response {
+    /// The answer to a clustering whose coalescing leader died before
+    /// publishing — the same for `CLUSTER` alone and inside `BATCH`.
+    pub(crate) fn abandoned() -> Response {
+        Response::Retryable {
+            message: "clustering was abandoned by a failed leader; retry".into(),
+            reason: "coalesce",
+        }
+    }
+
     /// Serialize as a single JSON object (no trailing newline).
     pub fn render_json(&self) -> String {
         match self {

@@ -15,12 +15,13 @@
 //!   frames, writes, and enforces admission control. It never executes a
 //!   request — the slowest thing it does is `memcpy`.
 //! - **Workers** (`parscan-serve-worker-N`): pop jobs from a bounded
-//!   queue, run the protocol handler, and push the rendered response
-//!   onto the completion queue, waking the reactor via its pipe-based
-//!   [`Waker`]. Coalesced cluster/load computations hand their
-//!   [`Responder`] to an in-flight leader instead of blocking a worker
+//!   queue, parse them, hand them to the server's one request
+//!   dispatcher, and push the rendered response onto the completion
+//!   queue, waking the reactor via its pipe-based [`Waker`]. Coalesced
+//!   cluster/load computations hand their [`Responder`] to an in-flight
+//!   leader instead of blocking a worker
 //!   ([`QueryEngine::cluster_deferred`](crate::engine::QueryEngine::cluster_deferred),
-//!   [`GraphRegistry::load_path_deferred`](crate::registry::GraphRegistry::load_path_deferred)).
+//!   [`GraphRegistry::load`](crate::registry::GraphRegistry::load)).
 //!
 //! ## Admission control
 //!
@@ -29,8 +30,8 @@
 //! accept with a `"op":"shed"` line; requests arriving while the worker
 //! queue holds [`ServeConfig::queue_limit`] entries are answered with
 //! the same typed response without ever reaching a worker; and a
-//! connection buffering more than [`ServeConfig::max_outbound_bytes`]
-//! of unread responses is killed (the peer stopped reading).
+//! connection buffering more than [`MAX_OUTBOUND_BYTES`] of unread
+//! responses is killed (the peer stopped reading).
 //!
 //! ## No lost responses
 //!
@@ -43,10 +44,10 @@
 //! slot's next tenant.
 
 use crate::conn::{ConnId, Connection, FillOutcome, InboxItem, MAX_LINE_BYTES};
-use crate::engine::EngineConfig;
-use crate::protocol::{parse_request, Request, Response};
-use crate::server::{handle_request, load_response, Control, ServerShared};
+use crate::protocol::{parse_request, Response};
+use crate::server::{dispatch, Control, ServerShared};
 use netpoll::{Event, Interest, Poller, Waker};
+use parscan_store::IndexStore;
 use std::io::{ErrorKind, Write};
 use std::net::TcpListener;
 use std::os::unix::io::AsRawFd;
@@ -54,12 +55,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Reactor and admission-control tuning for
-/// [`serve_with_config`](crate::server::serve_with_config). The
-/// defaults hold 10k+ idle sessions in a few threads while bounding
-/// every queue a hostile client could grow.
-#[derive(Clone, Copy, Debug)]
+/// Parsed-but-unsubmitted requests buffered per connection before the
+/// reactor stops reading from it (pipelining backpressure — the TCP
+/// window, not server memory, absorbs the excess).
+const MAX_PIPELINE: usize = 64;
+
+/// Unread response bytes buffered per connection before it is killed as
+/// a non-reading peer.
+const MAX_OUTBOUND_BYTES: usize = 8 << 20;
+
+/// Configuration for [`serve`](crate::server::serve): the durable store,
+/// if any, plus reactor and admission-control tuning. The defaults hold
+/// 10k+ idle sessions in a few threads while bounding every queue a
+/// hostile client could grow.
+#[derive(Clone, Debug)]
 pub struct ServeConfig {
+    /// The durable store backing `SAVE`, the audit log, and the
+    /// persisted working set in `LIST`/`STATS`. `None` (the default)
+    /// serves without persistence.
+    pub store: Option<Arc<IndexStore>>,
     /// Request-executing worker threads; `0` picks from the machine's
     /// available parallelism (clamped to 2..=8).
     pub workers: usize,
@@ -68,13 +82,6 @@ pub struct ServeConfig {
     /// Parsed requests waiting for a worker; requests past this are
     /// shed with a typed `"op":"shed"` response.
     pub queue_limit: usize,
-    /// Parsed-but-unsubmitted requests buffered per connection before
-    /// the reactor stops reading from it (pipelining backpressure — the
-    /// TCP window, not server memory, absorbs the excess).
-    pub max_pipeline: usize,
-    /// Unread response bytes buffered per connection before it is
-    /// killed as a non-reading peer.
-    pub max_outbound_bytes: usize,
     /// Per-request deadline. A request that has not completed this long
     /// after submission is answered with a retryable
     /// `"reason":"deadline"` error; if a worker picks it up after
@@ -95,11 +102,10 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
+            store: None,
             workers: 0,
             max_connections: 16_384,
             queue_limit: 1024,
-            max_pipeline: 64,
-            max_outbound_bytes: 8 << 20,
             deadline: None,
             idle_timeout: None,
             // Long enough that legitimate heavy work (a multi-second
@@ -286,6 +292,13 @@ pub(crate) struct Completion {
     pub control: Control,
 }
 
+/// One response as its wire line, newline included.
+fn wire_line(response: &Response) -> Vec<u8> {
+    let mut line = response.render_json().into_bytes();
+    line.push(b'\n');
+    line
+}
+
 /// Worker→reactor completion queue plus the waker that interrupts the
 /// reactor's poll. Shared with every deferred-computation callback, so
 /// it must outlive the reactor thread; a wake after teardown writes
@@ -297,8 +310,7 @@ pub(crate) struct Completions {
 
 impl Completions {
     fn push(&self, conn: ConnId, requests: u64, response: &Response, control: Control) {
-        let mut payload = response.render_json().into_bytes();
-        payload.push(b'\n');
+        let payload = wire_line(response);
         crate::lock_mutex(&self.queue).push(Completion {
             conn,
             requests,
@@ -351,83 +363,6 @@ impl Drop for Responder {
                 },
                 Control::Continue,
             );
-        }
-    }
-}
-
-/// Execute one request line on a worker thread. `CLUSTER` and `LOAD`
-/// route through the deferred engine/registry entry points so a
-/// coalesced follower parks its [`Responder`] on the in-flight leader's
-/// completion cell instead of blocking this worker; everything else
-/// runs inline through [`handle_request`].
-fn execute_request(
-    shared: &Arc<ServerShared>,
-    line: &str,
-    session_requests: u64,
-    responder: Responder,
-) {
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(message) => {
-            return responder.send(&Response::Error { message }, Control::Continue);
-        }
-    };
-    match request {
-        Request::Cluster {
-            graph,
-            params,
-            full,
-        } => match shared.registry.get(graph.as_deref()) {
-            Ok((canonical, engine)) => engine.cluster_deferred(
-                params,
-                Box::new(move |outcome| match outcome {
-                    Some(outcome) => responder.send(
-                        &Response::Cluster {
-                            graph: canonical,
-                            params,
-                            outcome,
-                            full,
-                        },
-                        Control::Continue,
-                    ),
-                    None => responder.send(
-                        &Response::Retryable {
-                            message: "clustering was abandoned by a failed leader; retry".into(),
-                            reason: "coalesce",
-                        },
-                        Control::Continue,
-                    ),
-                }),
-            ),
-            Err(e) => responder.send(
-                &Response::Error {
-                    message: e.to_string(),
-                },
-                Control::Continue,
-            ),
-        },
-        Request::Load { name, path, cache } => {
-            let start = Instant::now();
-            let config = EngineConfig {
-                cache_capacity: cache.unwrap_or(shared.registry.engine_config().cache_capacity),
-                ..shared.registry.engine_config()
-            };
-            let cb_shared = Arc::clone(shared);
-            let cb_name = name.clone();
-            let cb_path = path.clone();
-            shared.registry.load_path_deferred(
-                &name,
-                &path,
-                config,
-                Box::new(move |result| {
-                    let response = load_response(&cb_shared, cb_name, &cb_path, start, result);
-                    responder.send(&response, Control::Continue);
-                }),
-            );
-        }
-        other => {
-            let (response, control) = handle_request(other, shared, session_requests);
-            responder.send(&response, control);
         }
     }
 }
@@ -491,7 +426,14 @@ fn worker_loop(
         // A panicking handler must not take the worker down with it; the
         // unwinding Responder converts the panic into an error response.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_request(&shared, &job.line, job.requests, responder);
+            match parse_request(&job.line) {
+                Ok(request) => {
+                    dispatch(&shared, request, job.requests, move |response, control| {
+                        responder.send(&response, control)
+                    })
+                }
+                Err(message) => responder.send(&Response::Error { message }, Control::Continue),
+            }
         }));
         watchdog.end(index);
     }
@@ -639,8 +581,7 @@ impl Reactor {
                 let shed = Response::Shed {
                     message: format!("connection limit reached ({})", self.config.max_connections),
                 };
-                let mut payload = shed.render_json().into_bytes();
-                payload.push(b'\n');
+                let payload = wire_line(&shed);
                 // Best-effort single write: a fresh socket's send buffer
                 // is empty, so this lands unless the peer already died.
                 let mut stream = stream;
@@ -681,7 +622,6 @@ impl Reactor {
     }
 
     fn conn_event(&mut self, slot: usize, ev: Event, scratch: &mut [u8]) {
-        let max_pipeline = self.config.max_pipeline;
         let mut dead = false;
         {
             // A stale event for a slot freed earlier in this batch (or a
@@ -690,7 +630,7 @@ impl Reactor {
                 return;
             };
             if ev.readable || ev.hangup || ev.error {
-                match conn.fill(scratch, max_pipeline) {
+                match conn.fill(scratch, MAX_PIPELINE) {
                     FillOutcome::Open => {}
                     FillOutcome::Eof => conn.peer_eof = true,
                     FillOutcome::Err => dead = true,
@@ -713,7 +653,6 @@ impl Reactor {
     /// which is what makes pipelined responses impossible to reorder or
     /// misattribute.
     fn pump(&mut self, slot: usize) {
-        let max_outbound = self.config.max_outbound_bytes;
         loop {
             let item = {
                 let Some(conn) = self.conn_mut(slot) else {
@@ -734,10 +673,9 @@ impl Reactor {
                     let response = Response::Error {
                         message: format!("request exceeds {MAX_LINE_BYTES} bytes"),
                     };
-                    let mut payload = response.render_json().into_bytes();
-                    payload.push(b'\n');
+                    let payload = wire_line(&response);
                     let conn = self.conn_mut(slot).expect("checked above");
-                    let queued = conn.queue_response(&payload, max_outbound);
+                    let queued = conn.queue_response(&payload, MAX_OUTBOUND_BYTES);
                     conn.start_draining();
                     if !queued {
                         self.close(slot);
@@ -762,12 +700,11 @@ impl Reactor {
                                 self.shared.metrics.workers
                             ),
                         };
-                        let mut payload = response.render_json().into_bytes();
-                        payload.push(b'\n');
+                        let payload = wire_line(&response);
                         let queued = self
                             .conn_mut(slot)
                             .expect("checked above")
-                            .queue_response(&payload, max_outbound);
+                            .queue_response(&payload, MAX_OUTBOUND_BYTES);
                         if !queued {
                             self.close(slot);
                             return;
@@ -813,12 +750,11 @@ impl Reactor {
                                     self.config.queue_limit
                                 ),
                             };
-                            let mut payload = response.render_json().into_bytes();
-                            payload.push(b'\n');
+                            let payload = wire_line(&response);
                             let queued = self
                                 .conn_mut(slot)
                                 .expect("checked above")
-                                .queue_response(&payload, max_outbound);
+                                .queue_response(&payload, MAX_OUTBOUND_BYTES);
                             if !queued {
                                 self.close(slot);
                                 return;
@@ -834,7 +770,6 @@ impl Reactor {
     /// Flush opportunistically, close if finished, otherwise bring the
     /// poller's interest in line with the connection's state.
     fn settle(&mut self, slot: usize) {
-        let max_pipeline = self.config.max_pipeline;
         let now = Instant::now();
         let mut dead = false;
         let mut desired = Interest::NONE;
@@ -845,7 +780,7 @@ impl Reactor {
             if (conn.has_output() && conn.try_flush().is_err()) || conn.ready_to_close(now) {
                 dead = true;
             } else {
-                desired = conn.desired_interest(max_pipeline);
+                desired = conn.desired_interest(MAX_PIPELINE);
             }
         }
         if dead {
@@ -872,7 +807,6 @@ impl Reactor {
     }
 
     fn drain_completions(&mut self) {
-        let max_outbound = self.config.max_outbound_bytes;
         for completion in self.completions.drain() {
             let Completion {
                 conn: id,
@@ -902,7 +836,7 @@ impl Reactor {
                 conn.busy = false;
                 conn.inflight_since = None;
                 conn.last_activity = Instant::now();
-                let queued = conn.queue_response(&payload, max_outbound);
+                let queued = conn.queue_response(&payload, MAX_OUTBOUND_BYTES);
                 if queued && !matches!(control, Control::Continue) {
                     conn.start_closing();
                 }
@@ -981,7 +915,6 @@ impl Reactor {
     /// removed outright so no worker wastes time on it.
     fn sweep_request_deadlines(&mut self, now: Instant) {
         let deadline = self.config.deadline.expect("checked by caller");
-        let max_outbound = self.config.max_outbound_bytes;
         let mut expired = Vec::new();
         for (slot, entry) in self.slots.iter().enumerate() {
             if let Some(conn) = entry {
@@ -1002,8 +935,7 @@ impl Reactor {
                 ),
                 reason: "deadline",
             };
-            let mut payload = response.render_json().into_bytes();
-            payload.push(b'\n');
+            let payload = wire_line(&response);
             let (id, requests, queued) = {
                 let Some(conn) = self.conn_mut(slot) else {
                     continue;
@@ -1017,7 +949,11 @@ impl Reactor {
                 conn.busy = false;
                 conn.inflight_since = None;
                 conn.last_activity = now;
-                (id, requests, conn.queue_response(&payload, max_outbound))
+                (
+                    id,
+                    requests,
+                    conn.queue_response(&payload, MAX_OUTBOUND_BYTES),
+                )
             };
             self.shared
                 .metrics

@@ -14,7 +14,7 @@
 //!   rejected outright.
 //! - **Load coalescing.** Concurrent `LOAD`s of the same name build the
 //!   index once: the first caller becomes the leader, everyone else
-//!   blocks on its outcome ([`LoadOutcome::Coalesced`]). This is the
+//!   waits on its outcome ([`LoadOutcome::Coalesced`]). This is the
 //!   registry-level sibling of the per-`(μ, ε-class)` query coalescing
 //!   in [`engine`](crate::engine).
 //! - **Observability.** Monotonic counters ([`RegistryStats`]) for
@@ -50,9 +50,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Completion callback for [`GraphRegistry::load_path_deferred`].
-pub type LoadCallback =
-    Box<dyn FnOnce(Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>) + Send>;
+/// What a [`GraphRegistry::load`] reports: the graph's engine and how
+/// the load was satisfied.
+pub type LoadResult = Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>;
 
 /// Registry construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -126,7 +126,7 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// How a [`GraphRegistry::load_with`] call was satisfied.
+/// How a [`GraphRegistry::load`] call was satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadOutcome {
     /// This call built and admitted the graph.
@@ -206,9 +206,9 @@ struct GraphEntry {
 }
 
 /// The once-cell a load leader publishes through — the shared
-/// [`coalesce::Cell`](crate::coalesce::Cell) machinery, so followers can
-/// either block ([`Cell::wait`]) or subscribe a completion callback
-/// ([`Cell::on_ready`], the reactor path). The registry's slot map is
+/// [`coalesce::Cell`](crate::coalesce::Cell) machinery, to which
+/// followers subscribe their completion callback ([`Cell::on_ready`]).
+/// The registry's slot map is
 /// also its residency map, so the cell lives inside [`Slot::Loading`]
 /// rather than a separate keyed [`crate::coalesce::Coalescer`]: leader
 /// registration must be atomic with the Ready-residency check under one
@@ -290,25 +290,9 @@ impl GraphRegistry {
         }
     }
 
-    /// Convenience: a registry hosting exactly `engine` as its default
-    /// graph named `"default"`, with no byte budget. This is the
-    /// single-graph serving shape of PR 1.
-    pub fn single(engine: Arc<QueryEngine>) -> Arc<Self> {
-        let registry = GraphRegistry::new("default", RegistryConfig::default());
-        registry
-            .install_engine("default", engine)
-            .expect("empty registry admits one unbudgeted graph");
-        Arc::new(registry)
-    }
-
     /// The name unaddressed queries resolve to.
     pub fn default_name(&self) -> &str {
         &self.default_name
-    }
-
-    /// The registry-wide engine configuration.
-    pub fn engine_config(&self) -> EngineConfig {
-        self.config.engine
     }
 
     fn next_tick(&self) -> u64 {
@@ -331,49 +315,21 @@ impl GraphRegistry {
         }
     }
 
-    /// Install an already-built index under `name` (the boot path and
-    /// the programmatic API; protocol `LOAD`s go through
-    /// [`GraphRegistry::load_with`]). Replaces nothing: loading over an
-    /// existing name is reported as [`LoadOutcome::AlreadyLoaded`] by
-    /// `load_with`, and `install` on an existing name is an error via
-    /// admission of a duplicate — call [`GraphRegistry::unload`] first.
+    /// Install an already-built index under `name` with the registry's
+    /// engine configuration (the programmatic API; protocol `LOAD`s,
+    /// warm boots and the CLI go through [`GraphRegistry::load`]).
+    /// Replaces nothing: installing over a resident name is an error —
+    /// call [`GraphRegistry::unload`] first.
     pub fn install(
         &self,
         name: impl Into<String>,
         index: ScanIndex,
     ) -> Result<Arc<QueryEngine>, RegistryError> {
-        self.install_with_config(name, index, self.config.engine)
-    }
-
-    /// [`GraphRegistry::install`] with a per-graph engine configuration
-    /// (warm boots use this to restore each graph's persisted cache
-    /// capacity).
-    pub fn install_with_config(
-        &self,
-        name: impl Into<String>,
-        index: ScanIndex,
-        engine_config: EngineConfig,
-    ) -> Result<Arc<QueryEngine>, RegistryError> {
-        let engine = Arc::new(QueryEngine::new(Arc::new(index), engine_config));
-        self.install_engine(name, engine)
-    }
-
-    /// Install a pre-configured engine under `name`.
-    pub fn install_engine(
-        &self,
-        name: impl Into<String>,
-        engine: Arc<QueryEngine>,
-    ) -> Result<Arc<QueryEngine>, RegistryError> {
         let name = name.into();
         if let Err(message) = validate_graph_name(&name) {
             return Err(RegistryError::BadName { name, message });
         }
-        let bytes = engine.index().memory_bytes();
-        let entry = Arc::new(GraphEntry {
-            engine: Arc::clone(&engine),
-            bytes,
-            last_used: AtomicU64::new(self.next_tick()),
-        });
+        let entry = self.entry(index, self.config.engine);
         let mut slots = write_lock(&self.slots);
         match slots.get(&name) {
             Some(Slot::Ready(_)) => {
@@ -385,11 +341,21 @@ impl GraphRegistry {
             Some(Slot::Loading(_)) => return Err(RegistryError::Loading { name }),
             None => {}
         }
-        let victims = self.admit_locked(&mut slots, &name, entry)?;
+        let victims = self.admit_locked(&mut slots, &name, Arc::clone(&entry))?;
         self.counters.loads.fetch_add(1, Ordering::Relaxed);
         drop(slots);
         self.notify_evicted(&victims);
-        Ok(engine)
+        Ok(Arc::clone(&entry.engine))
+    }
+
+    /// A resident entry for `index`, stamped as just used.
+    fn entry(&self, index: ScanIndex, engine_config: EngineConfig) -> Arc<GraphEntry> {
+        let engine = Arc::new(QueryEngine::new(Arc::new(index), engine_config));
+        Arc::new(GraphEntry {
+            bytes: engine.index().memory_bytes(),
+            engine,
+            last_used: AtomicU64::new(self.next_tick()),
+        })
     }
 
     /// Admit `entry` under `name`, evicting least-recently-used
@@ -468,48 +434,46 @@ impl GraphRegistry {
     }
 
     /// Load a graph under `name`, building the index with `build` only
-    /// if nobody else is: an already-resident name returns immediately
-    /// ([`LoadOutcome::AlreadyLoaded`]) and a concurrent load of the
-    /// same name blocks on the leader's outcome
-    /// ([`LoadOutcome::Coalesced`]) instead of building twice.
-    pub fn load_with<F>(
+    /// if nobody else is. `notify` runs exactly once: inline when the
+    /// name is already resident ([`LoadOutcome::AlreadyLoaded`]) or this
+    /// caller leads the build (which runs synchronously here), and on
+    /// the leader's thread when the load coalesces onto one already in
+    /// flight ([`LoadOutcome::Coalesced`]) — so a reactor worker never
+    /// parks on another load's progress. Library callers that want to
+    /// block wait on a channel. `cache_capacity` overrides the
+    /// registry's per-graph result-cache capacity (the protocol's
+    /// `LOAD … CACHE=<n>`, and each graph's persisted value on a warm
+    /// boot).
+    pub fn load(
         &self,
         name: &str,
-        build: F,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>
-    where
-        F: FnOnce() -> Result<ScanIndex, String>,
-    {
-        self.load_with_config(name, self.config.engine, build)
-    }
-
-    /// [`GraphRegistry::load_with`] with a per-graph engine
-    /// configuration (the protocol's `LOAD … CACHE=<n>` option).
-    pub fn load_with_config<F>(
-        &self,
-        name: &str,
-        engine_config: EngineConfig,
-        build: F,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>
-    where
-        F: FnOnce() -> Result<ScanIndex, String>,
-    {
+        cache_capacity: Option<usize>,
+        build: impl FnOnce() -> Result<ScanIndex, String>,
+        notify: impl FnOnce(LoadResult) + Send + 'static,
+    ) {
         if let Err(message) = validate_graph_name(name) {
-            return Err(RegistryError::BadName {
+            return notify(Err(RegistryError::BadName {
                 name: name.into(),
                 message,
-            });
+            }));
         }
-        // Phase 1: register as leader, join as follower, or return early.
+        // Phase 1: register as leader, join as follower, or answer now.
         match self.register_load(name) {
-            RegisterLoad::Ready(engine) => Ok((engine, LoadOutcome::AlreadyLoaded)),
+            RegisterLoad::Ready(engine) => notify(Ok((engine, LoadOutcome::AlreadyLoaded))),
             RegisterLoad::Follower(cell) => {
                 self.counters
                     .coalesced_loads
                     .fetch_add(1, Ordering::Relaxed);
-                Self::follower_outcome(name, cell.wait())
+                let name = name.to_string();
+                cell.on_ready(move |outcome| notify(Self::follower_outcome(&name, outcome)));
             }
-            RegisterLoad::Leader(cell) => self.lead_load(name, cell, engine_config, build),
+            RegisterLoad::Leader(cell) => {
+                let engine_config = EngineConfig {
+                    cache_capacity: cache_capacity.unwrap_or(self.config.engine.cache_capacity),
+                    ..self.config.engine
+                };
+                notify(self.lead_load(name, cell, engine_config, build))
+            }
         }
     }
 
@@ -537,7 +501,7 @@ impl GraphRegistry {
     fn follower_outcome(
         name: &str,
         outcome: Option<Result<Arc<GraphEntry>, RegistryError>>,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError> {
+    ) -> LoadResult {
         match outcome {
             Some(Ok(entry)) => Ok((Arc::clone(&entry.engine), LoadOutcome::Coalesced)),
             Some(Err(e)) => Err(e),
@@ -551,16 +515,13 @@ impl GraphRegistry {
     /// Phase 2 (leader): build outside any lock, then admit. The guard
     /// guarantees followers are woken and the Loading slot is removed
     /// even if `build` unwinds.
-    fn lead_load<F>(
+    fn lead_load(
         &self,
         name: &str,
         cell: Arc<LoadCell>,
         engine_config: EngineConfig,
-        build: F,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>
-    where
-        F: FnOnce() -> Result<ScanIndex, String>,
-    {
+        build: impl FnOnce() -> Result<ScanIndex, String>,
+    ) -> LoadResult {
         struct LoadGuard<'r> {
             registry: &'r GraphRegistry,
             name: String,
@@ -598,12 +559,7 @@ impl GraphRegistry {
         };
 
         let admit = |index: ScanIndex| -> Result<(Arc<GraphEntry>, Vec<String>), RegistryError> {
-            let engine = Arc::new(QueryEngine::new(Arc::new(index), engine_config));
-            let entry = Arc::new(GraphEntry {
-                bytes: engine.index().memory_bytes(),
-                engine,
-                last_used: AtomicU64::new(self.next_tick()),
-            });
+            let entry = self.entry(index, engine_config);
             let mut slots = write_lock(&self.slots);
             // Our Loading marker holds the name; remove it and admit.
             slots.remove(name);
@@ -639,63 +595,6 @@ impl GraphRegistry {
             Err(e) => {
                 self.counters.load_failures.fetch_add(1, Ordering::Relaxed);
                 Err(e)
-            }
-        }
-    }
-
-    /// Load a graph or persisted index from a server-local file. File
-    /// type is detected by extension exactly as in the CLI: `.pscidx`
-    /// (persisted index), `.bin` (parscan binary graph),
-    /// `.graph`/`.metis` (METIS), anything else a whitespace edge list.
-    /// Graph files are indexed with [`IndexConfig::default`].
-    pub fn load_path(
-        &self,
-        name: &str,
-        path: &str,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError> {
-        self.load_with(name, || build_index_from_path(path))
-    }
-
-    /// [`GraphRegistry::load_path`] with a per-graph engine config.
-    pub fn load_path_with_config(
-        &self,
-        name: &str,
-        path: &str,
-        engine_config: EngineConfig,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError> {
-        self.load_with_config(name, engine_config, || build_index_from_path(path))
-    }
-
-    /// Event-driven sibling of [`Self::load_path_with_config`] for the
-    /// reactor's worker pool: `notify` fires exactly once — inline on
-    /// this thread when the name is resident or this caller leads the
-    /// build (the build itself runs synchronously here), later on the
-    /// leader's thread when the load coalesces onto someone else's. A
-    /// worker thread therefore never parks on another load's progress.
-    pub fn load_path_deferred(
-        &self,
-        name: &str,
-        path: &str,
-        engine_config: EngineConfig,
-        notify: LoadCallback,
-    ) {
-        if let Err(message) = validate_graph_name(name) {
-            return notify(Err(RegistryError::BadName {
-                name: name.into(),
-                message,
-            }));
-        }
-        match self.register_load(name) {
-            RegisterLoad::Ready(engine) => notify(Ok((engine, LoadOutcome::AlreadyLoaded))),
-            RegisterLoad::Follower(cell) => {
-                self.counters
-                    .coalesced_loads
-                    .fetch_add(1, Ordering::Relaxed);
-                let name = name.to_string();
-                cell.on_ready(move |outcome| notify(Self::follower_outcome(&name, outcome)));
-            }
-            RegisterLoad::Leader(cell) => {
-                notify(self.lead_load(name, cell, engine_config, || build_index_from_path(path)))
             }
         }
     }
@@ -772,8 +671,12 @@ impl GraphRegistry {
     }
 }
 
-/// Extension-dispatched index construction for [`GraphRegistry::load_path`].
-fn build_index_from_path(path: &str) -> Result<ScanIndex, String> {
+/// Read a graph or persisted index from a server-local file, for
+/// [`GraphRegistry::load`]. The file type is detected by extension:
+/// `.pscidx` (persisted index), `.bin` (parscan binary graph),
+/// `.graph`/`.metis` (METIS), anything else a whitespace edge list.
+/// Graph files are indexed with [`IndexConfig::default`].
+pub fn build_index_from_path(path: &str) -> Result<ScanIndex, String> {
     if path.ends_with(".pscidx") {
         return ScanIndex::load(path).map_err(|e| format!("cannot load index {path}: {e}"));
     }
@@ -803,6 +706,20 @@ mod tests {
 
     fn index_bytes() -> usize {
         small_index(1).memory_bytes()
+    }
+
+    /// [`GraphRegistry::load`], waited on through a channel.
+    fn load_now(
+        r: &GraphRegistry,
+        name: &str,
+        cache_capacity: Option<usize>,
+        build: impl FnOnce() -> Result<ScanIndex, String>,
+    ) -> LoadResult {
+        let (tx, rx) = std::sync::mpsc::channel();
+        r.load(name, cache_capacity, build, move |result| {
+            let _ = tx.send(result);
+        });
+        rx.recv().expect("load answers exactly once")
     }
 
     #[test]
@@ -975,16 +892,10 @@ mod tests {
     #[test]
     fn per_load_engine_config_overrides_cache_capacity() {
         let r = GraphRegistry::new("main", RegistryConfig::default());
-        let config = EngineConfig {
-            cache_capacity: 16,
-            ..r.engine_config()
-        };
-        let (engine, _) = r
-            .load_with_config("g", config, || Ok(small_index(1)))
-            .unwrap();
+        let (engine, _) = load_now(&r, "g", Some(16), || Ok(small_index(1))).unwrap();
         assert_eq!(engine.stats().cache_capacity, 16);
         // The registry-wide default is unchanged for other graphs.
-        let (other, _) = r.load_with("h", || Ok(small_index(2))).unwrap();
+        let (other, _) = load_now(&r, "h", None, || Ok(small_index(2))).unwrap();
         assert_eq!(
             other.stats().cache_capacity,
             RegistryConfig::default().engine.cache_capacity
@@ -994,15 +905,14 @@ mod tests {
     #[test]
     fn load_with_reports_already_loaded() {
         let r = GraphRegistry::new("main", RegistryConfig::default());
-        let (_, outcome) = r.load_with("main", || Ok(small_index(1))).unwrap();
+        let (_, outcome) = load_now(&r, "main", None, || Ok(small_index(1))).unwrap();
         assert_eq!(outcome, LoadOutcome::Loaded);
         let built_again = AtomicUsize::new(0);
-        let (_, outcome) = r
-            .load_with("main", || {
-                built_again.fetch_add(1, Ordering::Relaxed);
-                Ok(small_index(1))
-            })
-            .unwrap();
+        let (_, outcome) = load_now(&r, "main", None, || {
+            built_again.fetch_add(1, Ordering::Relaxed);
+            Ok(small_index(1))
+        })
+        .unwrap();
         assert_eq!(outcome, LoadOutcome::AlreadyLoaded);
         assert_eq!(built_again.load(Ordering::Relaxed), 0);
     }
@@ -1010,13 +920,11 @@ mod tests {
     #[test]
     fn failed_load_frees_the_name() {
         let r = GraphRegistry::new("main", RegistryConfig::default());
-        let err = r
-            .load_with("g", || Err("synthetic failure".into()))
-            .unwrap_err();
+        let err = load_now(&r, "g", None, || Err("synthetic failure".into())).unwrap_err();
         assert!(matches!(err, RegistryError::LoadFailed { .. }), "{err}");
         assert_eq!(r.stats().load_failures, 1);
         // The name is free again; a retry succeeds.
-        let (_, outcome) = r.load_with("g", || Ok(small_index(1))).unwrap();
+        let (_, outcome) = load_now(&r, "g", None, || Ok(small_index(1))).unwrap();
         assert_eq!(outcome, LoadOutcome::Loaded);
     }
 
@@ -1035,11 +943,12 @@ mod tests {
             let r = Arc::clone(&r);
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                let _ = r.load_with("doomed", || {
+                let build = || -> Result<ScanIndex, String> {
                     gate.wait(); // followers may now register
                     std::thread::sleep(Duration::from_millis(40));
                     panic!("build exploded")
-                });
+                };
+                r.load("doomed", None, build, |_| {});
             })
         };
         gate.wait();
@@ -1047,17 +956,17 @@ mod tests {
         // Blocking follower.
         let blocking = {
             let r = Arc::clone(&r);
-            std::thread::spawn(move || r.load_with("doomed", || Ok(small_index(1))))
+            std::thread::spawn(move || load_now(&r, "doomed", None, || Ok(small_index(1))))
         };
         // Subscribed (reactor-path) follower.
         let (tx, rx) = std::sync::mpsc::channel();
-        r.load_path_deferred(
+        r.load(
             "doomed",
-            "/nonexistent/never-read.graph",
-            EngineConfig::default(),
-            Box::new(move |outcome| {
+            None,
+            || build_index_from_path("/nonexistent/never-read.graph"),
+            move |outcome| {
                 tx.send(outcome.map(|(_, o)| o)).unwrap();
-            }),
+            },
         );
 
         assert!(leader.join().is_err(), "leader must have panicked");
@@ -1074,7 +983,7 @@ mod tests {
         );
 
         // The name is free again; a retry succeeds.
-        let (_, outcome) = r.load_with("doomed", || Ok(small_index(1))).unwrap();
+        let (_, outcome) = load_now(&r, "doomed", None, || Ok(small_index(1))).unwrap();
         assert_eq!(outcome, LoadOutcome::Loaded);
     }
 
@@ -1087,7 +996,7 @@ mod tests {
             let r = Arc::clone(&r);
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                r.load_with("shared", || {
+                load_now(&r, "shared", None, || {
                     gate.wait();
                     std::thread::sleep(Duration::from_millis(30));
                     Ok(small_index(2))
@@ -1097,13 +1006,13 @@ mod tests {
         gate.wait();
 
         let (tx, rx) = std::sync::mpsc::channel();
-        r.load_path_deferred(
+        r.load(
             "shared",
-            "/nonexistent/never-read.graph",
-            EngineConfig::default(),
-            Box::new(move |outcome| {
+            None,
+            || build_index_from_path("/nonexistent/never-read.graph"),
+            move |outcome| {
                 tx.send(outcome.map(|(_, o)| o)).unwrap();
-            }),
+            },
         );
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(),
@@ -1126,16 +1035,15 @@ mod tests {
                     let (r, builds, barrier) = (&r, &builds, &barrier);
                     s.spawn(move || {
                         barrier.wait();
-                        let (_, outcome) = r
-                            .load_with("shared", || {
-                                builds.fetch_add(1, Ordering::Relaxed);
-                                // Widen the in-flight window so followers
-                                // genuinely coalesce rather than racing
-                                // past a finished load.
-                                std::thread::sleep(std::time::Duration::from_millis(50));
-                                Ok(small_index(9))
-                            })
-                            .expect("load");
+                        let (_, outcome) = load_now(r, "shared", None, || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            // Widen the in-flight window so followers
+                            // genuinely coalesce rather than racing past
+                            // a finished load.
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            Ok(small_index(9))
+                        })
+                        .expect("load");
                         outcome
                     })
                 })
@@ -1170,15 +1078,17 @@ mod tests {
         let (g, _) = generators::planted_partition(80, 2, 7.0, 1.0, 3);
         parscan_graph::io::write_edge_list_text(&g, &path).unwrap();
         let r = GraphRegistry::new("main", RegistryConfig::default());
-        let (engine, outcome) = r
-            .load_path("fromfile", path.to_str().unwrap())
+        let path = path.to_str().unwrap();
+        let (engine, outcome) = load_now(&r, "fromfile", None, || build_index_from_path(path))
             .expect("load from edge list");
         assert_eq!(outcome, LoadOutcome::Loaded);
         assert_eq!(engine.index().graph().num_vertices(), 80);
         assert!(matches!(
-            r.load_path("nope", "/definitely/not/here.txt"),
+            load_now(&r, "nope", None, || build_index_from_path(
+                "/definitely/not/here.txt"
+            )),
             Err(RegistryError::LoadFailed { .. })
         ));
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path);
     }
 }

@@ -7,19 +7,19 @@
 //! shared [`GraphRegistry`] (the default graph unless the request
 //! carries an `@name` address) and answered with one JSON line. The
 //! per-connection state machine lives in the private `conn` module; this
-//! module owns the protocol dispatch (`handle_request`), server-wide
-//! state, and the public `serve*` entry points. `shutdown()` (or a
-//! client's `SHUTDOWN` command) flips the flag and wakes the reactor,
-//! which stops accepting, lets the in-flight request finish, flushes
-//! buffered responses under a bounded grace, and snapshots dirty graphs
-//! before exiting — no response is dropped mid-write.
+//! module owns the one request dispatcher (`dispatch`), server-wide
+//! state, and the [`serve`] entry point. `shutdown()` (or a client's
+//! `SHUTDOWN` command) flips the flag and wakes the reactor, which stops
+//! accepting, lets the in-flight request finish, flushes buffered
+//! responses under a bounded grace, and snapshots dirty graphs before
+//! exiting — no response is dropped mid-write.
 
 use crate::batch::BatchExecutor;
 use crate::engine::QueryEngine;
 use crate::protocol::{FaultStats, ReactorStats, Request, Response, StatsGraph, StoreStats};
 use crate::reactor::{Completions, JobQueue, Reactor, ReactorMetrics, ServeConfig};
-use crate::registry::{GraphRegistry, LoadOutcome, RegistryError};
-use parscan_store::{AuditKind, IndexStore};
+use crate::registry::{build_index_from_path, GraphRegistry, LoadOutcome, LoadResult};
+use parscan_store::{AuditKind, IndexStore, ManifestEntry};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,9 +29,8 @@ use std::time::Instant;
 /// store, and the reactor's counters and queues.
 pub(crate) struct ServerShared {
     pub(crate) registry: Arc<GraphRegistry>,
-    /// The durable store, when the server was started with one
-    /// ([`serve_with_store`]); enables `SAVE` and manifest-aware
-    /// `LIST`/`STATS`.
+    /// The durable store ([`ServeConfig::store`]); enables `SAVE` and
+    /// manifest-aware `LIST`/`STATS`.
     pub(crate) store: Option<Arc<IndexStore>>,
     pub(crate) shutdown: AtomicBool,
     /// The reactor→worker queue; its depth is admission control's gauge.
@@ -40,12 +39,22 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
+    pub(crate) fn new(registry: Arc<GraphRegistry>, config: &ServeConfig) -> ServerShared {
+        ServerShared {
+            registry,
+            store: config.store.clone(),
+            shutdown: AtomicBool::new(false),
+            jobs: Arc::new(JobQueue::new(config.queue_limit)),
+            metrics: ReactorMetrics::new(config.queue_limit, config.effective_workers()),
+        }
+    }
+
     /// The `STATS` response: registry-wide counters always, plus the
     /// engine counters of the addressed graph. An *explicitly* addressed
     /// absent graph is an error (top-level and batched alike); an
     /// unaddressed `STATS` still reports registry counters even when the
     /// default graph has been unloaded.
-    pub(crate) fn stats_response(&self, graph: Option<&str>, session_requests: u64) -> Response {
+    fn stats_response(&self, graph: Option<&str>, session_requests: u64) -> Response {
         let resolved = match graph {
             Some(name) => match self.registry.get(Some(name)) {
                 Ok(pair) => Some(pair),
@@ -110,6 +119,19 @@ impl ServerShared {
     }
 }
 
+/// Snapshot one resident graph into `store`, pinned if it is the
+/// default graph and with its current cache capacity — the record a
+/// warm boot restores.
+fn save(
+    store: &IndexStore,
+    registry: &GraphRegistry,
+    name: &str,
+    engine: &QueryEngine,
+) -> std::io::Result<ManifestEntry> {
+    let pinned = name == registry.default_name();
+    store.save(name, &engine.index(), pinned, engine.stats().cache_capacity)
+}
+
 /// Snapshot every still-resident graph whose index was mutated since
 /// its last `SAVE`. Runs after the reactor has closed every connection
 /// and joined every worker — no more mutations can arrive — so a clean
@@ -120,9 +142,7 @@ pub(crate) fn autosave_dirty(shared: &ServerShared) {
             let Ok((canonical, engine)) = shared.registry.get(Some(&name)) else {
                 continue; // unloaded since the mutation; nothing to save
             };
-            let pinned = canonical == shared.registry.default_name();
-            let cache_capacity = engine.stats().cache_capacity;
-            let _ = store.save(&canonical, &engine.index(), pinned, cache_capacity);
+            let _ = save(store, &shared.registry, &canonical, &engine);
         }
     }
 }
@@ -146,16 +166,6 @@ impl ServerHandle {
     /// The hosted registry.
     pub fn registry(&self) -> &Arc<GraphRegistry> {
         &self.shared.registry
-    }
-
-    /// The default graph's engine. Panics if the default graph has been
-    /// unloaded — use [`ServerHandle::registry`] for fallible access.
-    pub fn engine(&self) -> Arc<QueryEngine> {
-        self.shared
-            .registry
-            .get(None)
-            .expect("default graph is resident")
-            .1
     }
 
     /// Request shutdown and block until the reactor (and every worker it
@@ -183,70 +193,30 @@ impl ServerHandle {
     }
 }
 
-/// Bind `addr` and serve every graph in `registry` until shutdown, with
-/// default [`ServeConfig`] bounds. Returns once the listener is bound
-/// and accepting, so callers may connect immediately.
+/// Bind `addr` and serve every graph in `registry` until shutdown, under
+/// `config`'s reactor and admission-control bounds. Returns once the
+/// listener is bound and accepting, so callers may connect immediately.
+///
+/// With a durable store in [`ServeConfig::store`], the server also
+/// answers `SAVE`, audits every LOAD/SAVE/UNLOAD/EVICT, and surfaces the
+/// persisted working set through `LIST`/`STATS`; callers typically run
+/// [`warm_boot`](crate::boot::warm_boot) on the registry first.
 pub fn serve(
     registry: Arc<GraphRegistry>,
     addr: impl ToSocketAddrs,
-) -> std::io::Result<ServerHandle> {
-    serve_inner(registry, addr, None, ServeConfig::default())
-}
-
-/// [`serve`] with explicit reactor and admission-control bounds.
-pub fn serve_with_config(
-    registry: Arc<GraphRegistry>,
-    addr: impl ToSocketAddrs,
     config: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    serve_inner(registry, addr, None, config)
-}
-
-/// [`serve`] backed by a durable [`IndexStore`]: enables the `SAVE`
-/// protocol verb, audits every LOAD/SAVE/UNLOAD/EVICT, and surfaces the
-/// persisted working set through `LIST`/`STATS`. Callers typically run
-/// [`warm_boot`](crate::boot::warm_boot) on the registry first.
-pub fn serve_with_store(
-    registry: Arc<GraphRegistry>,
-    store: Arc<IndexStore>,
-    addr: impl ToSocketAddrs,
-) -> std::io::Result<ServerHandle> {
-    serve_with_store_and_config(registry, store, addr, ServeConfig::default())
-}
-
-/// [`serve_with_store`] with explicit reactor bounds.
-pub fn serve_with_store_and_config(
-    registry: Arc<GraphRegistry>,
-    store: Arc<IndexStore>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    // Evictions happen inside registry admission, far from any protocol
-    // handler — the hook routes them into the audit log.
-    let audit_store = Arc::clone(&store);
-    registry.set_evict_hook(Box::new(move |name| {
-        let _ = audit_store.record(AuditKind::Evict, Some(name), "reason=budget");
-    }));
-    serve_inner(registry, addr, Some(store), config)
-}
-
-fn serve_inner(
-    registry: Arc<GraphRegistry>,
-    addr: impl ToSocketAddrs,
-    store: Option<Arc<IndexStore>>,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
+    if let Some(store) = &config.store {
+        // Evictions happen inside registry admission, far from any
+        // protocol handler — the hook routes them into the audit log.
+        let store = Arc::clone(store);
+        registry.set_evict_hook(Box::new(move |name| {
+            let _ = store.record(AuditKind::Evict, Some(name), "reason=budget");
+        }));
+    }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let workers = config.effective_workers();
-    let shared = Arc::new(ServerShared {
-        registry,
-        store,
-        shutdown: AtomicBool::new(false),
-        jobs: Arc::new(JobQueue::new(config.queue_limit)),
-        metrics: ReactorMetrics::new(config.queue_limit, workers),
-    });
-
+    let shared = Arc::new(ServerShared::new(registry, &config));
     let reactor = Reactor::new(listener, Arc::clone(&shared), config)?;
     let completions = reactor.completions();
     let reactor_thread = std::thread::Builder::new()
@@ -261,16 +231,6 @@ fn serve_inner(
     })
 }
 
-/// Convenience: serve a single engine as the default graph `"default"`
-/// with no byte budget — the single-graph shape of PR 1. Clients may
-/// still `LOAD` more graphs at runtime.
-pub fn serve_engine(
-    engine: Arc<QueryEngine>,
-    addr: impl ToSocketAddrs,
-) -> std::io::Result<ServerHandle> {
-    serve(GraphRegistry::single(engine), addr)
-}
-
 /// What the connection should do after its response is written.
 pub(crate) enum Control {
     Continue,
@@ -279,14 +239,13 @@ pub(crate) enum Control {
 }
 
 /// Build the `LOAD` acknowledgement (and audit record) from a load's
-/// result — shared by the synchronous path in [`handle_request`] and
-/// the deferred-follower callback in the reactor's worker pool.
-pub(crate) fn load_response(
+/// result.
+fn load_response(
     shared: &ServerShared,
     name: String,
     path: &str,
     start: Instant,
-    result: Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>,
+    result: LoadResult,
 ) -> Response {
     match result {
         Ok((engine, outcome)) => {
@@ -312,7 +271,7 @@ pub(crate) fn load_response(
                 outcome,
                 vertices: g.num_vertices(),
                 edges: g.num_edges(),
-                bytes: engine.index().memory_bytes(),
+                bytes: index.memory_bytes(),
                 millis,
             }
         }
@@ -322,217 +281,211 @@ pub(crate) fn load_response(
     }
 }
 
-/// Dispatch one parsed request. `CLUSTER` and `LOAD` take this
-/// synchronous path only as a fallback — the worker pool routes them
-/// through the deferred engine/registry entry points so coalesced
-/// followers don't hold a worker thread.
-pub(crate) fn handle_request(
-    request: Request,
+/// Resolve a graph address and answer from its engine; registry and
+/// engine errors both become protocol errors.
+fn on_graph(
+    registry: &GraphRegistry,
+    graph: Option<&str>,
+    answer: impl FnOnce(String, Arc<QueryEngine>) -> Result<Response, String>,
+) -> Response {
+    match registry.get(graph) {
+        Ok((name, engine)) => {
+            answer(name, engine).unwrap_or_else(|message| Response::Error { message })
+        }
+        Err(e) => Response::Error {
+            message: e.to_string(),
+        },
+    }
+}
+
+/// Answer one parsed request through `reply`, exactly once. `CLUSTER`
+/// and `LOAD` go through the engine's and registry's deferred calls, so
+/// a request that coalesces onto an in-flight computation parks `reply`
+/// on the leader's completion cell instead of holding this thread; every
+/// other verb is answered inline.
+pub(crate) fn dispatch(
     shared: &Arc<ServerShared>,
+    request: Request,
     session_requests: u64,
-) -> (Response, Control) {
+    reply: impl FnOnce(Response, Control) + Send + 'static,
+) {
     let registry = &shared.registry;
-    // Resolve a query's graph address to its engine, turning registry
-    // errors (unknown name, still loading) into protocol error messages.
-    let resolve = |graph: Option<&str>| registry.get(graph).map_err(|e| e.to_string());
-    match request {
-        Request::Ping => (Response::Pong, Control::Continue),
-        Request::Stats { graph } => (
-            shared.stats_response(graph.as_deref(), session_requests),
-            Control::Continue,
-        ),
-        Request::List => (
-            Response::List {
-                default: registry.default_name().to_string(),
-                graphs: registry.list(),
-                persisted: shared.persisted_names(),
-            },
-            Control::Continue,
-        ),
-        Request::Load { name, path, cache } => {
-            let start = Instant::now();
-            let config = crate::engine::EngineConfig {
-                cache_capacity: cache.unwrap_or(registry.engine_config().cache_capacity),
-                ..registry.engine_config()
-            };
-            let result = registry.load_path_with_config(&name, &path, config);
-            (
-                load_response(shared, name, &path, start, result),
-                Control::Continue,
-            )
-        }
-        Request::Unload { name } => (
-            match registry.unload(&name) {
-                Ok(bytes_freed) => {
-                    // An explicit UNLOAD also removes the graph from the
-                    // persisted working set — the operator said "forget
-                    // this graph", and a later warm boot must respect
-                    // that. (Evictions, by contrast, leave the manifest
-                    // alone: boot re-admits whatever fits the budget.)
-                    if let Some(store) = &shared.store {
-                        let _ = store.forget(&name);
-                    }
-                    Response::Unloaded { name, bytes_freed }
-                }
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            },
-            Control::Continue,
-        ),
-        Request::Save { graph } => {
-            let start = Instant::now();
-            let response = match &shared.store {
-                None => Response::Error {
-                    message: "this server has no durable store (start it with --store-dir)".into(),
-                },
-                Some(store) => match registry.get(graph.as_deref()) {
-                    Ok((canonical, engine)) => {
-                        let pinned = canonical == registry.default_name();
-                        let cache_capacity = engine.stats().cache_capacity;
-                        match store.save(&canonical, &engine.index(), pinned, cache_capacity) {
-                            Ok(entry) => Response::Saved {
-                                name: canonical,
-                                snapshot: entry.snapshot,
-                                bytes: entry.bytes,
-                                millis: start.elapsed().as_millis() as u64,
-                            },
-                            // A failed save leaves the previous
-                            // manifest+snapshot generation fully intact
-                            // (see `IndexStore::save`), so the client
-                            // can simply try again.
-                            Err(e) => Response::Retryable {
-                                message: format!("saving {canonical:?} failed: {e}"),
-                                reason: "io",
-                            },
-                        }
-                    }
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                },
-            };
-            (response, Control::Continue)
-        }
+    let response = match request {
         Request::Cluster {
             graph,
             params,
             full,
-        } => (
-            match resolve(graph.as_deref()) {
-                Ok((canonical, engine)) => match engine.try_cluster(params) {
-                    Ok(outcome) => Response::Cluster {
-                        graph: canonical,
-                        params,
-                        outcome,
-                        full,
-                    },
-                    Err(abandoned) => Response::Retryable {
-                        message: abandoned.to_string(),
-                        reason: "coalesce",
-                    },
-                },
-                Err(message) => Response::Error { message },
+        } => match registry.get(graph.as_deref()) {
+            Ok((graph, engine)) => {
+                return engine.cluster_deferred(params, move |outcome| {
+                    let response = match outcome {
+                        Some(outcome) => Response::Cluster {
+                            graph,
+                            params,
+                            outcome,
+                            full,
+                        },
+                        None => Response::abandoned(),
+                    };
+                    reply(response, Control::Continue)
+                })
+            }
+            Err(e) => Response::Error {
+                message: e.to_string(),
             },
-            Control::Continue,
-        ),
+        },
+        Request::Load { name, path, cache } => {
+            let start = Instant::now();
+            let shared = Arc::clone(shared);
+            let source = path.clone();
+            let build = || build_index_from_path(&source);
+            return registry.load(&name.clone(), cache, build, move |result| {
+                let response = load_response(&shared, name, &path, start, result);
+                reply(response, Control::Continue)
+            });
+        }
+        Request::Ping => Response::Pong,
+        Request::Stats { graph } => shared.stats_response(graph.as_deref(), session_requests),
+        Request::List => Response::List {
+            default: registry.default_name().to_string(),
+            graphs: registry.list(),
+            persisted: shared.persisted_names(),
+        },
+        Request::Unload { name } => match registry.unload(&name) {
+            Ok(bytes_freed) => {
+                // An explicit UNLOAD also removes the graph from the
+                // persisted working set — the operator said "forget this
+                // graph", and a later warm boot must respect that.
+                // (Evictions, by contrast, leave the manifest alone: boot
+                // re-admits whatever fits the budget.)
+                if let Some(store) = &shared.store {
+                    let _ = store.forget(&name);
+                }
+                Response::Unloaded { name, bytes_freed }
+            }
+            Err(e) => Response::Error {
+                message: e.to_string(),
+            },
+        },
+        Request::Save { graph } => match &shared.store {
+            None => Response::Error {
+                message: "this server has no durable store (start it with --store-dir)".into(),
+            },
+            Some(store) => on_graph(registry, graph.as_deref(), |name, engine| {
+                let start = Instant::now();
+                Ok(match save(store, registry, &name, &engine) {
+                    Ok(entry) => Response::Saved {
+                        name,
+                        snapshot: entry.snapshot,
+                        bytes: entry.bytes,
+                        millis: start.elapsed().as_millis() as u64,
+                    },
+                    // A failed save leaves the previous manifest+snapshot
+                    // generation fully intact (see `IndexStore::save`),
+                    // so the client can simply try again.
+                    Err(e) => Response::Retryable {
+                        message: format!("saving {name:?} failed: {e}"),
+                        reason: "io",
+                    },
+                })
+            }),
+        },
         Request::Probe {
             graph,
             vertex,
             params,
-        } => (
-            match resolve(graph.as_deref()) {
-                Ok((canonical, engine)) => match engine.probe(vertex, params) {
-                    Ok(probe) => Response::Probe {
-                        graph: canonical,
-                        vertex,
-                        params,
-                        probe,
-                    },
-                    Err(message) => Response::Error { message },
-                },
-                Err(message) => Response::Error { message },
-            },
-            Control::Continue,
-        ),
-        Request::Sweep { graph, eps_step } => (
-            match resolve(graph.as_deref()) {
-                Ok((canonical, engine)) => match engine.sweep_best(eps_step) {
-                    Ok(best) => Response::Sweep {
-                        graph: canonical,
-                        best,
-                    },
-                    Err(message) => Response::Error { message },
-                },
-                Err(message) => Response::Error { message },
-            },
-            Control::Continue,
-        ),
-        Request::Apply { graph, batch } => (
-            match resolve(graph.as_deref()) {
-                Ok((canonical, engine)) => match engine.apply_update(&batch) {
-                    Ok(outcome) => {
-                        // A mutation makes the resident index newer than
-                        // any snapshot: mark the graph dirty so SAVE (or
-                        // the shutdown sweep) persists it, and audit the
-                        // mutation like loads/saves.
-                        if outcome.changed {
-                            if let Some(store) = &shared.store {
-                                store.mark_dirty(&canonical);
-                                let _ = store.record(
-                                    AuditKind::Mutate,
-                                    Some(&canonical),
-                                    &format!(
-                                        "epoch={} ins={} del={} rew={} changed={} n={} m={}",
-                                        outcome.epoch,
-                                        outcome.inserted,
-                                        outcome.deleted,
-                                        outcome.reweighted,
-                                        outcome.changed_edges,
-                                        outcome.n,
-                                        outcome.m
-                                    ),
-                                );
-                            }
-                        }
-                        Response::Applied {
-                            graph: canonical,
-                            outcome,
-                        }
-                    }
-                    Err(message) => Response::Error { message },
-                },
-                Err(message) => Response::Error { message },
-            },
-            Control::Continue,
-        ),
-        Request::Batch(inner) => {
-            let responses = BatchExecutor::new(registry)
-                .execute(&inner, |g| shared.stats_response(g, session_requests));
-            (Response::Batch(responses), Control::Continue)
+        } => on_graph(registry, graph.as_deref(), |graph, engine| {
+            engine.probe(vertex, params).map(|probe| Response::Probe {
+                graph,
+                vertex,
+                params,
+                probe,
+            })
+        }),
+        Request::Sweep { graph, eps_step } => {
+            on_graph(registry, graph.as_deref(), |graph, engine| {
+                engine
+                    .sweep_best(eps_step)
+                    .map(|best| Response::Sweep { graph, best })
+            })
         }
-        Request::Quit => (Response::Bye { shutdown: false }, Control::Close),
-        Request::Shutdown => (Response::Bye { shutdown: true }, Control::ShutdownServer),
-    }
+        Request::Apply { graph, batch } => on_graph(registry, graph.as_deref(), |graph, engine| {
+            let outcome = engine.apply_update(&batch)?;
+            // A mutation makes the resident index newer than any
+            // snapshot: mark the graph dirty so SAVE (or the shutdown
+            // sweep) persists it, and audit the mutation like
+            // loads/saves.
+            if let (true, Some(store)) = (outcome.changed, &shared.store) {
+                store.mark_dirty(&graph);
+                let _ = store.record(
+                    AuditKind::Mutate,
+                    Some(&graph),
+                    &format!(
+                        "epoch={} ins={} del={} rew={} changed={} n={} m={}",
+                        outcome.epoch,
+                        outcome.inserted,
+                        outcome.deleted,
+                        outcome.reweighted,
+                        outcome.changed_edges,
+                        outcome.n,
+                        outcome.m
+                    ),
+                );
+            }
+            Ok(Response::Applied { graph, outcome })
+        }),
+        Request::Batch(inner) => Response::Batch(
+            BatchExecutor::new(registry)
+                .execute(&inner, |sub| answer_inline(shared, sub, session_requests)),
+        ),
+        Request::Quit => return reply(Response::Bye { shutdown: false }, Control::Close),
+        Request::Shutdown => {
+            return reply(Response::Bye { shutdown: true }, Control::ShutdownServer)
+        }
+    };
+    reply(response, Control::Continue)
+}
+
+/// [`dispatch`] for a `BATCH`'s read-only, non-`CLUSTER` sub-requests,
+/// every one of which it answers inline on this thread.
+pub(crate) fn answer_inline(
+    shared: &Arc<ServerShared>,
+    request: &Request,
+    session_requests: u64,
+) -> Response {
+    let (tx, rx) = std::sync::mpsc::channel();
+    dispatch(
+        shared,
+        request.clone(),
+        session_requests,
+        move |response, _| {
+            let _ = tx.send(response);
+        },
+    );
+    rx.recv().expect("dispatch answers exactly once")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
     use parscan_core::{IndexConfig, ScanIndex};
     use parscan_graph::generators;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use std::time::Duration;
 
+    /// Serve `g` as the default graph of a fresh registry.
+    fn serve_graph(g: parscan_graph::CsrGraph, config: ServeConfig) -> ServerHandle {
+        let registry = Arc::new(GraphRegistry::new("default", Default::default()));
+        registry
+            .install("default", ScanIndex::build(g, IndexConfig::default()))
+            .unwrap();
+        serve(registry, "127.0.0.1:0", config).expect("bind")
+    }
+
     fn spawn_server() -> ServerHandle {
         let (g, _) = generators::planted_partition(200, 4, 9.0, 1.0, 5);
-        let engine = Arc::new(QueryEngine::new(
-            Arc::new(ScanIndex::build(g, IndexConfig::default())),
-            EngineConfig::default(),
-        ));
-        serve_engine(engine, "127.0.0.1:0").expect("bind")
+        serve_graph(g, ServeConfig::default())
     }
 
     fn roundtrip(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
@@ -601,11 +554,7 @@ mod tests {
         // A fixed tiny graph so every mutation's effect is deterministic:
         // triangle {0,1,2}, edge (3,4), isolated vertex 5.
         let g = parscan_graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
-        let engine = Arc::new(QueryEngine::new(
-            Arc::new(ScanIndex::build(g, IndexConfig::default())),
-            EngineConfig::default(),
-        ));
-        let server = serve_engine(engine, "127.0.0.1:0").expect("bind");
+        let server = serve_graph(g, ServeConfig::default());
         let out = roundtrip(
             server.addr(),
             &[
@@ -715,16 +664,12 @@ mod tests {
         dir.push(format!("parscan_serve_store_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(IndexStore::open(&dir).expect("open store"));
-
-        let registry = {
-            let (g, _) = generators::planted_partition(200, 4, 9.0, 1.0, 5);
-            let r = crate::registry::GraphRegistry::new("default", Default::default());
-            r.install("default", ScanIndex::build(g, IndexConfig::default()))
-                .unwrap();
-            Arc::new(r)
+        let (g, _) = generators::planted_partition(200, 4, 9.0, 1.0, 5);
+        let config = ServeConfig {
+            store: Some(Arc::clone(&store)),
+            ..Default::default()
         };
-        let server =
-            serve_with_store(Arc::clone(&registry), Arc::clone(&store), "127.0.0.1:0").unwrap();
+        let server = serve_graph(g, config);
         let out = roundtrip(server.addr(), &["SAVE", "LIST", "STATS", "QUIT"]);
         assert!(
             out[0].contains(r#""op":"save""#) && out[0].contains(r#""graph":"default""#),
@@ -744,6 +689,43 @@ mod tests {
         assert!(out[0].contains(r#""op":"unload""#), "{}", out[0]);
         assert!(out[1].contains(r#""persisted":[]"#), "{}", out[1]);
         assert!(store.entries().is_empty());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batched_reads_render_like_top_level_reads() {
+        // One dispatcher answers both, so a store-backed server's LIST
+        // carries `persisted` inside BATCH too.
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("parscan_serve_batch_reads_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(IndexStore::open(&dir).expect("open store"));
+        let (g, _) = generators::planted_partition(200, 4, 9.0, 1.0, 5);
+        let config = ServeConfig {
+            store: Some(store),
+            ..Default::default()
+        };
+        let server = serve_graph(g, config);
+        let reads = ["PROBE 0 3 0.4", "SWEEP 0.1", "LIST", "PING"];
+        let batch = format!("BATCH {}", reads.join(" ; "));
+        let mut lines = vec!["SAVE"];
+        lines.extend(reads);
+        lines.extend([batch.as_str(), "QUIT"]);
+        let out = roundtrip(server.addr(), &lines);
+        let alone = &out[1..=reads.len()];
+        assert!(
+            alone[2].contains(r#""persisted":["default"]"#),
+            "{}",
+            alone[2]
+        );
+        assert_eq!(
+            out[reads.len() + 1],
+            format!(
+                r#"{{"ok":true,"op":"batch","results":[{}]}}"#,
+                alone.join(",")
+            )
+        );
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

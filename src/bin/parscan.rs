@@ -284,7 +284,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use parscan::server::{serve_with_config, serve_with_store_and_config, warm_boot, ServeConfig};
+    use parscan::server::{build_index_from_path, serve, warm_boot, ServeConfig};
     use parscan::store::IndexStore;
     use std::sync::Arc;
 
@@ -300,8 +300,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Fault injection is armed only via the environment so production
     // invocations never pay for (or accidentally enable) it.
     failpoint::init_from_env();
+    let store = store_dir
+        .map(|dir| IndexStore::open(&dir).map_err(|e| format!("cannot open store {dir}: {e}")))
+        .transpose()?
+        .map(Arc::new);
+    if path.is_none() && store.is_none() {
+        return Err("serve needs a graph or index path (or --store-dir)".into());
+    }
     let defaults = ServeConfig::default();
     let serve_config = ServeConfig {
+        store: store.clone(),
         workers: parse(args, "--workers")?.unwrap_or(defaults.workers),
         max_connections: parse(args, "--max-conns")?.unwrap_or(defaults.max_connections),
         queue_limit: parse(args, "--queue")?.unwrap_or(defaults.queue_limit),
@@ -314,16 +322,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         watchdog_stuck_after: parse::<u64>(args, "--watchdog-ms")?
             .map(std::time::Duration::from_millis)
             .unwrap_or(defaults.watchdog_stuck_after),
-        ..defaults
     };
-
-    let store = store_dir
-        .map(|dir| IndexStore::open(&dir).map_err(|e| format!("cannot open store {dir}: {e}")))
-        .transpose()?
-        .map(Arc::new);
-    if path.is_none() && store.is_none() {
-        return Err("serve needs a graph or index path (or --store-dir)".into());
-    }
 
     // The default graph's name: --name wins; otherwise the store's
     // pinned manifest entry (the previous run's default); else "default".
@@ -386,19 +385,22 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("--graph expects NAME=PATH, got {spec:?}"))?;
         // A name the warm boot already restored reports AlreadyLoaded:
         // the snapshot wins over rebuilding from the path.
-        registry.load_path(name, gpath).map_err(|e| e.to_string())?;
+        let (tx, rx) = std::sync::mpsc::channel();
+        registry.load(
+            name,
+            None,
+            || build_index_from_path(gpath),
+            move |result| {
+                let _ = tx.send(result);
+            },
+        );
+        rx.recv()
+            .map_err(|e| e.to_string())?
+            .map_err(|e| e.to_string())?;
     }
 
-    let server = match &store {
-        Some(store) => serve_with_store_and_config(
-            Arc::clone(&registry),
-            Arc::clone(store),
-            (host.as_str(), port),
-            serve_config,
-        ),
-        None => serve_with_config(Arc::clone(&registry), (host.as_str(), port), serve_config),
-    }
-    .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?;
+    let server = serve(Arc::clone(&registry), (host.as_str(), port), serve_config)
+        .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?;
     let stats = registry.stats();
     println!(
         "serving {} graph(s) on {} (~{} MiB resident{}, cache {cache}/graph{}); \

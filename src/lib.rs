@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use parscan_graph::{CsrGraph, VertexId};
     pub use parscan_server::{
-        serve, serve_engine, serve_with_store, warm_boot, EngineConfig, GraphRegistry, QueryEngine,
-        RegistryConfig, ServerHandle,
+        serve, warm_boot, EngineConfig, GraphRegistry, QueryEngine, RegistryConfig, ServeConfig,
+        ServerHandle,
     };
     pub use parscan_store::IndexStore;
 }

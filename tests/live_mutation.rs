@@ -219,7 +219,6 @@ fn concurrent_mutation_stress_no_torn_reads_or_stale_cache() {
         EngineConfig {
             cache_capacity: 64,
             cache_shards: 4,
-            ..Default::default()
         },
     ));
 

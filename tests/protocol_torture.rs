@@ -7,10 +7,9 @@
 //! a response (every session reads exactly the answers to its own
 //! requests, in request order).
 
+mod common;
+
 use parscan::prelude::*;
-use parscan::server::{
-    serve_with_config, GraphRegistry, RegistryConfig, ServeConfig, ServerHandle,
-};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -33,7 +32,7 @@ fn torture_server(config: ServeConfig) -> ServerHandle {
     registry
         .install("primary", ScanIndex::build(g, IndexConfig::default()))
         .unwrap();
-    serve_with_config(registry, "127.0.0.1:0", config).expect("bind torture server")
+    serve(registry, "127.0.0.1:0", config).expect("bind torture server")
 }
 
 fn roundtrip(session: &mut BufReader<TcpStream>, line: &str) -> String {
@@ -143,6 +142,7 @@ proptest! {
                 prop_assert_eq!(response.trim_end(), r#"{"ok":true,"op":"pong"}"#);
             }
         }
+        common::assert_request_ledger_balances(server.addr());
         server.shutdown();
     }
 }
@@ -191,6 +191,7 @@ proptest! {
         // The server itself is unharmed.
         let mut fresh = BufReader::new(TcpStream::connect(server.addr()).expect("reconnect"));
         prop_assert!(roundtrip(&mut fresh, "PING").contains(r#""op":"pong""#));
+        common::assert_request_ledger_balances(server.addr());
         server.shutdown();
     }
 }
@@ -228,6 +229,7 @@ proptest! {
         assert_all_slots_reclaimed(server.addr());
         let mut fresh = BufReader::new(TcpStream::connect(server.addr()).expect("reconnect"));
         prop_assert!(roundtrip(&mut fresh, "PING").contains(r#""op":"pong""#));
+        common::assert_request_ledger_balances(server.addr());
         server.shutdown();
     }
 }
@@ -294,5 +296,6 @@ fn slowloris_writers_do_not_stall_other_sessions() {
     for handle in slow_handles {
         handle.join().expect("slow session panicked");
     }
+    common::assert_request_ledger_balances(server.addr());
     server.shutdown();
 }

@@ -4,7 +4,7 @@
 //! public facade.
 
 use parscan::prelude::*;
-use parscan::server::{serve_engine, EngineStats, Request, Response};
+use parscan::server::{EngineStats, Request, Response};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -23,9 +23,13 @@ const _: () = {
     assert_send_sync::<Response>();
 };
 
-fn build_engine(cache_capacity: usize) -> (Arc<ScanIndex>, Arc<QueryEngine>) {
+fn test_index() -> ScanIndex {
     let (g, _) = parscan::graph::generators::planted_partition(400, 5, 10.0, 1.2, 99);
-    let index = Arc::new(ScanIndex::build(g, IndexConfig::default()));
+    ScanIndex::build(g, IndexConfig::default())
+}
+
+fn build_engine(cache_capacity: usize) -> (Arc<ScanIndex>, Arc<QueryEngine>) {
+    let index = Arc::new(test_index());
     let engine = Arc::new(QueryEngine::new(
         Arc::clone(&index),
         EngineConfig {
@@ -34,6 +38,24 @@ fn build_engine(cache_capacity: usize) -> (Arc<ScanIndex>, Arc<QueryEngine>) {
         },
     ));
     (index, engine)
+}
+
+/// A server whose default graph is [`test_index`], plus that graph's
+/// index and engine.
+fn build_server(cache_capacity: usize) -> (Arc<ScanIndex>, Arc<QueryEngine>, ServerHandle) {
+    let registry = Arc::new(GraphRegistry::new(
+        "default",
+        RegistryConfig {
+            engine: EngineConfig {
+                cache_capacity,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    ));
+    let engine = registry.install("default", test_index()).unwrap();
+    let server = serve(registry, "127.0.0.1:0", ServeConfig::default()).expect("bind");
+    (engine.index(), engine, server)
 }
 
 /// Extract a JSON integer array field like `"labels":[0,-1,2]`.
@@ -74,8 +96,7 @@ fn wire_cores(c: &Clustering) -> Vec<i64> {
 
 #[test]
 fn concurrent_clients_match_direct_queries() {
-    let (index, engine) = build_engine(64);
-    let server = serve_engine(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (index, engine, server) = build_server(64);
     let addr = server.addr();
 
     // Each client thread issues every (μ, ε) point, interleaving with the
@@ -140,8 +161,7 @@ fn concurrent_clients_match_direct_queries() {
 
 #[test]
 fn batch_over_tcp_matches_direct_queries() {
-    let (index, engine) = build_engine(64);
-    let server = serve_engine(engine, "127.0.0.1:0").expect("bind");
+    let (index, _, server) = build_server(64);
 
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream

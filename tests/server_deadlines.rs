@@ -1,16 +1,17 @@
 //! Deadline, watchdog, and idle-reaper torture for the reactor server,
-//! plus the bounded coalescer-abandonment test (relocated here from the
-//! engine's unit tests: it arms the process-global failpoint registry,
-//! so it needs a test binary whose other tests never run an in-process
-//! engine concurrently).
+//! plus the coalescer-abandonment test (relocated here from the engine's
+//! unit tests: it arms the process-global failpoint registry, so it
+//! needs a test binary whose other tests never run an in-process engine
+//! concurrently).
 //!
 //! The serving tests drive the *real* binary (`CARGO_BIN_EXE_parscan`)
 //! with the resilience flags; worker occupancy is made deterministic by
 //! `LOAD`ing a named pipe (the fifo handshake proves the worker is
 //! parked inside the read — no sleeps calibrated against build speed).
 
+mod common;
+
 use parscan::prelude::*;
-use parscan::server::CoalesceAbandoned;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -216,6 +217,7 @@ fn deadlines_expire_queued_and_in_flight_requests_with_a_typed_retryable_error()
         "expected both expiries counted: {stats}"
     );
 
+    common::assert_request_ledger_balances(server.addr);
     server.kill();
     let _ = std::fs::remove_file(&graph);
 }
@@ -243,6 +245,7 @@ fn idle_connections_are_reaped_on_the_poll_tick() {
         "reap must be counted: {stats}"
     );
 
+    common::assert_request_ledger_balances(server.addr);
     server.kill();
     let _ = std::fs::remove_file(&graph);
 }
@@ -287,6 +290,7 @@ fn watchdog_gauges_stuck_workers_and_recovers() {
     assert_eq!(counter(&stats, "stuck_workers"), 0, "{stats}");
     assert!(counter(&stats, "watchdog_trips") >= 1, "{stats}");
 
+    common::assert_request_ledger_balances(server.addr);
     server.kill();
     let _ = std::fs::remove_file(&graph);
 }
@@ -326,16 +330,16 @@ fn saturated_watchdog_sheds_new_work_until_workers_recover() {
     ask(&mut probe, "PING");
     assert!(answer(&mut probe).contains("pong"));
 
+    common::assert_request_ledger_balances(server.addr);
     server.kill();
     let _ = std::fs::remove_file(&graph);
 }
 
-/// The bounded coalescer-abandonment path, driven in-process: with
-/// `engine.compute` armed to always panic, every coalescing leader dies,
-/// followers retry at most [`MAX_LEADER_RETRIES`] times, and each caller
-/// either observes the leader panic itself or gets the typed
-/// [`CoalesceAbandoned`] error — never an `Ok`, and never an unbounded
-/// retry convoy (this test *finishing* is the boundedness proof).
+/// The coalescer-abandonment path clients reach, driven in-process
+/// through `cluster_deferred`: with `engine.compute` armed to always
+/// panic, every coalescing leader dies. Each caller either observes the
+/// panic itself (it led) or is told at once that the computation was
+/// abandoned — none succeeds, and no follower waits for another leader.
 #[test]
 fn always_panicking_leaders_abandon_with_a_typed_retryable_error() {
     let (g, _) = parscan::graph::generators::planted_partition(200, 4, 9.0, 1.0, 11);
@@ -343,6 +347,7 @@ fn always_panicking_leaders_abandon_with_a_typed_retryable_error() {
         Arc::new(ScanIndex::build(g, IndexConfig::default())),
         EngineConfig::default(),
     ));
+    let params = QueryParams::new(3, 0.4);
 
     failpoint::configure("engine.compute", "panic").unwrap();
     let barrier = Arc::new(Barrier::new(8));
@@ -351,43 +356,54 @@ fn always_panicking_leaders_abandon_with_a_typed_retryable_error() {
         let engine = Arc::clone(&engine);
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
+            let (tx, rx) = std::sync::mpsc::channel();
             barrier.wait();
-            catch_unwind(AssertUnwindSafe(|| {
-                engine.try_cluster(QueryParams::new(3, 0.4))
+            let led = catch_unwind(AssertUnwindSafe(|| {
+                engine.cluster_deferred(params, move |outcome| {
+                    let _ = tx.send(outcome.is_some());
+                })
             }))
+            .is_err();
+            // A dead leader's callback is dropped unanswered; a
+            // follower's runs exactly once, on its leader's thread.
+            (led, rx.recv_timeout(Duration::from_secs(30)).ok())
         }));
     }
     let mut panicked_leaders = 0u64;
     let mut abandoned = 0u64;
     for handle in handles {
         match handle.join().expect("thread join") {
-            Err(_) => panicked_leaders += 1,
-            Ok(Err(CoalesceAbandoned)) => abandoned += 1,
-            Ok(Ok(_)) => panic!("a cluster succeeded while compute always panics"),
+            (true, None) => panicked_leaders += 1,
+            (false, Some(false)) => abandoned += 1,
+            (_, Some(true)) => panic!("a cluster succeeded while compute always panics"),
+            other => panic!("a caller neither led nor was answered: {other:?}"),
         }
     }
     failpoint::remove("engine.compute");
     assert_eq!(panicked_leaders + abandoned, 8);
     assert!(panicked_leaders >= 1, "someone must have led");
-    if abandoned > 0 {
-        assert!(
-            CoalesceAbandoned.to_string().contains("retry"),
-            "the typed error must tell the client to retry"
-        );
-    }
 
     // The engine is fully healthy afterwards: the in-flight table holds
     // no corpses and a clean request computes.
-    let outcome = engine.cluster(QueryParams::new(3, 0.4));
+    let (tx, rx) = std::sync::mpsc::channel();
+    engine.cluster_deferred(params, move |outcome| {
+        let _ = tx.send(outcome);
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a clean request is answered")
+        .expect("a clean request computes");
     assert!(!outcome.cached);
 
-    // Ledger: every request was counted; hits+misses misses exactly the
-    // requests whose leader panicked before recording an outcome (the
-    // final clean request is the +1 miss).
+    // Ledger: every request was counted, and each abandoned follower is a
+    // miss; hits+misses lacks exactly the requests whose leader panicked
+    // before recording an outcome (the final clean request is the +1
+    // miss).
     let stats = engine.stats();
     assert_eq!(
         stats.cache_hits + stats.cache_misses + panicked_leaders,
         stats.cluster_requests,
         "{stats:?}"
     );
+    assert_eq!(stats.cache_misses, abandoned + 1, "{stats:?}");
 }

@@ -62,7 +62,7 @@ fn boot_registry(byte_budget: Option<usize>) -> (Arc<GraphRegistry>, CsrGraph) {
 #[test]
 fn load_list_query_by_name_round_trip() {
     let (registry, _) = boot_registry(None);
-    let server = serve(registry, "127.0.0.1:0").expect("bind");
+    let server = serve(registry, "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr());
 
     // One graph at boot.
@@ -149,7 +149,7 @@ fn byte_budget_evicts_over_the_wire() {
         ScanIndex::build(g, IndexConfig::default()).memory_bytes()
     };
     let (registry, _) = boot_registry(Some(boot_bytes * 5 / 2));
-    let server = serve(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
+    let server = serve(Arc::clone(&registry), "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr());
 
     let (path_a, _) = graph_file("evict-a", 300, 4, 1);
@@ -189,7 +189,7 @@ fn persisted_index_loads_by_extension() {
         std::env::temp_dir().join(format!("parscan-multigraph-{}.pscidx", std::process::id()));
     index.save(path.to_str().unwrap()).expect("save index");
 
-    let server = serve(registry, "127.0.0.1:0").expect("bind");
+    let server = serve(registry, "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr());
     let loaded = client.request(&format!("LOAD persisted {}", path.display()));
     assert!(loaded.contains(r#""status":"loaded""#), "{loaded}");

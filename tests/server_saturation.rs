@@ -10,8 +10,9 @@
 //! to lower the target on constrained runners (CI uses 2000); the
 //! default is 10000.
 
+mod common;
+
 use parscan::prelude::*;
-use parscan::server::{serve_with_config, GraphRegistry, RegistryConfig, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -201,6 +202,7 @@ fn ten_thousand_sessions_on_a_bounded_thread_count() {
         );
     }
 
+    common::assert_request_ledger_balances(server.addr);
     server.kill();
     let _ = std::fs::remove_file(&graph);
 }
@@ -267,7 +269,7 @@ fn small_registry(n: usize, seed: u64) -> Arc<GraphRegistry> {
 
 #[test]
 fn connection_limit_sheds_with_a_typed_response() {
-    let server = serve_with_config(
+    let server = serve(
         small_registry(120, 3),
         "127.0.0.1:0",
         ServeConfig {
@@ -324,7 +326,9 @@ fn connection_limit_sheds_with_a_typed_response() {
         .unwrap();
     ask(&mut readmitted, "PING");
     assert!(answer(&mut readmitted).contains("pong"));
+    drop(readmitted);
 
+    common::assert_request_ledger_balances(server.addr());
     server.shutdown();
 }
 
@@ -335,7 +339,7 @@ fn queue_overflow_sheds_requests_without_hanging_in_flight_work() {
     // request after that must shed immediately.
     let fifo_a = FifoGraph::new("queue-a");
     let fifo_b = FifoGraph::new("queue-b");
-    let server = serve_with_config(
+    let server = serve(
         small_registry(120, 9),
         "127.0.0.1:0",
         ServeConfig {
@@ -404,6 +408,7 @@ fn queue_overflow_sheds_requests_without_hanging_in_flight_work() {
         .unwrap_or_else(|| panic!("no shed_requests in {stats}"));
     assert!(shed >= shed_seen, "{stats}");
 
+    common::assert_request_ledger_balances(server.addr());
     server.shutdown();
 }
 
@@ -413,7 +418,7 @@ fn pipelined_sheds_preserve_response_order() {
     // responses in request order even when some of them are sheds.
     let fifo_a = FifoGraph::new("pipe-a");
     let fifo_b = FifoGraph::new("pipe-b");
-    let server = serve_with_config(
+    let server = serve(
         small_registry(120, 4),
         "127.0.0.1:0",
         ServeConfig {
@@ -466,5 +471,6 @@ fn pipelined_sheds_preserve_response_order() {
     ask(&mut pipelined, "PING");
     assert!(answer(&mut pipelined).contains(r#""op":"pong""#));
 
+    common::assert_request_ledger_balances(server.addr());
     server.shutdown();
 }

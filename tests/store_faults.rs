@@ -32,8 +32,11 @@ struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl FaultGuard {
     fn new() -> FaultGuard {
+        // Lock first: clearing before the lock is held would disarm a
+        // failpoint that the test currently holding it has armed.
+        let lock = fault_lock();
         failpoint::clear();
-        FaultGuard(fault_lock())
+        FaultGuard(lock)
     }
 }
 
