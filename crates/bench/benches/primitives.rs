@@ -35,15 +35,6 @@ fn bench_sort(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    // Ablation: flat-phase merge sort vs nested fork-join quicksort — the
-    // two formulations of §2.3.1's model this workspace implements.
-    group.bench_function(BenchmarkId::new("fj_quicksort", N), |b| {
-        b.iter_batched(
-            || data.clone(),
-            |mut v| parscan_parallel::quicksort::par_quicksort(&mut v),
-            criterion::BatchSize::LargeInput,
-        )
-    });
     group.finish();
 }
 

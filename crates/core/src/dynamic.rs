@@ -377,7 +377,8 @@ fn affected_ceiling(
 mod tests {
     use super::*;
     use crate::index::{ExactStrategy, IndexConfig};
-    use crate::query::QueryParams;
+    use crate::query::{BorderAssignment, QueryParams};
+    use crate::test_support::assert_arbitrary_clusterings_agree;
     use parscan_graph::generators;
 
     fn rebuild_config() -> IndexConfig {
@@ -405,7 +406,11 @@ mod tests {
         );
         // Queries agree too.
         let params = QueryParams::new(3, 0.4);
-        assert_eq!(updated.cluster(params), rebuilt.cluster(params));
+        assert_eq!(
+            updated.cluster_with(params, BorderAssignment::MostSimilar),
+            rebuilt.cluster_with(params, BorderAssignment::MostSimilar)
+        );
+        assert_arbitrary_clusterings_agree(&updated.cluster(params), &rebuilt.cluster(params));
     }
 
     #[test]

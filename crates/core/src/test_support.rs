@@ -14,9 +14,10 @@
 //! happens to live in the library so downstream test crates can reuse
 //! it.
 
+use crate::clustering::{Clustering, UNCLUSTERED};
 use crate::dynamic::BatchUpdate;
 use crate::index::{ExactStrategy, IndexConfig, ScanIndex, SortStrategy};
-use crate::query::QueryParams;
+use crate::query::{BorderAssignment, QueryParams};
 use crate::similarity::SimilarityMeasure;
 use parscan_graph::{CsrGraph, VertexId};
 use std::collections::BTreeMap;
@@ -131,19 +132,44 @@ pub fn assert_index_equivalent(actual: &ScanIndex, expected: &ScanIndex, tol: f6
     assert_eq!(a_thr, e_thr, "core-order thresholds differ");
 }
 
-/// Assert that both indexes answer an entire `(μ, ε)` grid with equal
-/// clusterings (labels, roles, cluster counts).
+/// Assert that both indexes answer an entire `(μ, ε)` grid alike: equal
+/// [`BorderAssignment::MostSimilar`] clusterings (labels, roles, cluster
+/// counts), and [`BorderAssignment::Arbitrary`] clusterings with equal
+/// core flags, core labels and clustered sets.
 pub fn assert_clusterings_equivalent(actual: &ScanIndex, expected: &ScanIndex) {
     for mu in [2u32, 3, 5] {
         for i in 1..=6 {
             let eps = i as f32 / 7.0;
             let params = QueryParams::new(mu, eps);
             assert_eq!(
-                actual.cluster(params),
-                expected.cluster(params),
+                actual.cluster_with(params, BorderAssignment::MostSimilar),
+                expected.cluster_with(params, BorderAssignment::MostSimilar),
                 "clusterings diverge at (μ={mu}, ε={eps})"
             );
+            assert_arbitrary_clusterings_agree(&actual.cluster(params), &expected.cluster(params));
         }
+    }
+}
+
+/// Assert that two [`BorderAssignment::Arbitrary`] clusterings agree on
+/// what Algorithm 4 fixes: core flags, core labels, and which vertices
+/// are clustered. A border vertex next to cores of two clusters takes
+/// whichever compare-and-swap lands first, so its label is not compared.
+///
+/// # Panics
+/// Panics on the first vertex where the two differ.
+pub(crate) fn assert_arbitrary_clusterings_agree(actual: &Clustering, expected: &Clustering) {
+    assert_eq!(actual.core, expected.core, "core flags differ");
+    for v in 0..actual.num_vertices() {
+        let (a, e) = (actual.labels[v], expected.labels[v]);
+        if actual.core[v] {
+            assert_eq!(a, e, "core {v} is labelled differently");
+        }
+        assert_eq!(
+            a == UNCLUSTERED,
+            e == UNCLUSTERED,
+            "vertex {v} is clustered in only one clustering"
+        );
     }
 }
 

@@ -16,24 +16,25 @@
 
 use crate::builder::{from_edges, from_weighted_edges};
 use crate::csr::{CsrGraph, VertexId};
-use parscan_parallel::pool::chunk_ranges;
 use parscan_parallel::primitives::par_map;
 use parscan_parallel::utils::hash64_pair;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Generate edges in parallel: `count` draws of `f(rng)`, with per-chunk
-/// RNGs derived deterministically from `seed` so results are reproducible
-/// regardless of thread count.
+/// Generate edges in parallel: `count` draws of `f(rng)`, split evenly
+/// into `⌈count / 4096⌉` chunks, each drawing from its own RNG seeded by
+/// `seed` and the chunk index. The chunking depends on `count` alone, so
+/// the output is fixed by `seed` whatever the thread count.
 fn par_generate_edges<T, F>(count: usize, seed: u64, f: F) -> Vec<T>
 where
     T: Send + Sync + Copy,
     F: Fn(&mut SmallRng) -> T + Sync,
 {
-    let ranges = chunk_ranges(count, 4096);
-    let per_chunk: Vec<Vec<T>> = par_map(ranges.len(), 1, |c| {
+    let n_chunks = count.div_ceil(4096).max(1);
+    let per_chunk: Vec<Vec<T>> = par_map(n_chunks, 1, |c| {
         let mut rng = SmallRng::seed_from_u64(hash64_pair(seed, c as u64));
-        ranges[c].clone().map(|_| f(&mut rng)).collect()
+        let len = count / n_chunks + usize::from(c < count % n_chunks);
+        (0..len).map(|_| f(&mut rng)).collect()
     });
     per_chunk.into_iter().flatten().collect()
 }
@@ -347,6 +348,20 @@ mod tests {
         assert_eq!(g1, g2);
         assert_eq!(g1.validate(), Ok(()));
         assert!(g1.num_edges() > 4000 && g1.num_edges() <= 5000);
+    }
+
+    #[test]
+    fn generated_edges_do_not_depend_on_the_thread_count() {
+        use parscan_parallel::pool::{max_threads, num_threads, set_active_threads};
+        let before = num_threads();
+        let at = |threads| {
+            set_active_threads(threads);
+            rmat(14, 16, 7)
+        };
+        let (one, all) = (at(1), at(max_threads()));
+        set_active_threads(before);
+        let (m1, m) = (one.num_edges(), all.num_edges());
+        assert!(one == all, "m = {m1} at 1 thread, {m} at {}", max_threads());
     }
 
     #[test]

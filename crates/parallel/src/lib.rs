@@ -6,7 +6,9 @@
 //! Approximation" (SIGMOD 2021): a fork-join execution model plus the
 //! parallel building blocks of §2.3.2 of the paper:
 //!
-//! - a persistent [`pool`] of worker threads executing flat fork-join loops,
+//! - a persistent [`pool`] of worker threads executing flat fork-join loops
+//!   (the crate's one scheduler: every algorithm in the repository is a
+//!   sequence of flat data-parallel phases, and nested calls run inline),
 //! - [`primitives`]: parallel for, map, and reduce,
 //! - [`weighted`]: work-balanced loops (prefix-sum cost scheduling),
 //! - [`prefix`]: parallel (exclusive) scan,
@@ -24,15 +26,15 @@
 //! [`pool::set_active_threads`], which the scaling experiments use to sweep
 //! thread counts without re-creating pools.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod connectivity;
 pub mod dedup;
 pub mod filter;
-pub mod fork_join;
 pub mod hashtable;
 pub mod pool;
 pub mod prefix;
 pub mod primitives;
-pub mod quicksort;
 pub mod radix;
 pub mod sort;
 pub mod union_find;
@@ -42,12 +44,10 @@ pub mod weighted;
 pub use connectivity::connected_components;
 pub use dedup::remove_duplicates_u64;
 pub use filter::{filter, pack_index_u32};
-pub use fork_join::join;
 pub use hashtable::{ConcurrentMapU64, ConcurrentSetU64};
 pub use pool::{num_threads, set_active_threads};
 pub use prefix::{exclusive_scan_in_place, exclusive_scan_usize};
 pub use primitives::{par_for, par_for_range, par_map, reduce, reduce_commutative};
-pub use quicksort::{par_quicksort, par_quicksort_by};
 pub use radix::{par_radix_sort_by_key, par_radix_sort_pairs};
 pub use sort::{par_sort_by, par_sort_unstable_by};
 pub use union_find::ConcurrentUnionFind;

@@ -10,27 +10,38 @@
 //! of flat data-parallel phases (exactly how the GBBS implementations the
 //! paper builds on structure their loops).
 //!
+//! A panic in a chunk does not escape the thread that ran it: the first
+//! payload is kept, the chunk still counts as finished, and
+//! [`ThreadPool::run`] re-throws it once every chunk has finished. So a
+//! panicking job neither kills a worker nor leaves workers running a
+//! closure whose frame is gone.
+//!
 //! # Safety
 //!
 //! `run` erases the lifetime of the closure so workers can hold a reference
 //! to it. This is sound because `run` blocks until every chunk has completed
 //! (`finished == n_chunks`), a chunk is claimed by exactly one thread
 //! (`fetch_add`), and `finished` is only incremented *after* the closure
-//! invocation for a claimed chunk returns. A late-waking worker can still
-//! hold the (dangling) job pointer after `run` returns, but it only ever
-//! dereferences the closure for a successfully claimed chunk, which can no
-//! longer happen once all chunks are taken.
+//! invocation for a claimed chunk returns or unwinds. A late-waking worker
+//! can still hold the (dangling) job pointer after `run` returns, but it
+//! only ever dereferences the closure for a successfully claimed chunk,
+//! which can no longer happen once all chunks are taken.
 
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A lifetime-erased reference to the per-chunk closure.
 #[derive(Clone, Copy)]
 struct JobFn(*const (dyn Fn(usize) + Sync + 'static));
+// SAFETY: the pointee is `Sync`, so calling it from any thread is sound;
+// `run` keeps it alive until every chunk has finished (module docs).
 unsafe impl Send for JobFn {}
+// SAFETY: as for `Send`; the pointer itself is never written after creation.
 unsafe impl Sync for JobFn {}
 
 struct Job {
@@ -38,12 +49,15 @@ struct Job {
     n_chunks: usize,
     /// Next chunk index to claim.
     next: AtomicUsize,
-    /// Number of chunks whose closure invocation has returned.
+    /// Number of chunks whose closure invocation has returned or unwound.
     finished: AtomicUsize,
+    /// The first panic payload of any chunk, re-thrown by `run`.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Job {
-    /// Claim and execute chunks until none remain.
+    /// Claim and execute chunks until none remain. Never unwinds: a
+    /// chunk's panic is caught and kept for `run` to re-throw.
     fn work(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -53,7 +67,9 @@ impl Job {
             // SAFETY: the submitting thread blocks until `finished ==
             // n_chunks`, so the closure is alive for every claimed chunk.
             let f = unsafe { &*self.func.0 };
-            f(i);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
+                self.panic.lock().get_or_insert(payload);
+            }
             self.finished.fetch_add(1, Ordering::Release);
         }
     }
@@ -132,6 +148,9 @@ impl ThreadPool {
     /// Execute `f(0), f(1), ..., f(n_chunks - 1)` in parallel, blocking
     /// until all invocations complete. Chunks are claimed dynamically, so
     /// skewed per-chunk work balances across threads.
+    ///
+    /// If any invocation panics, the other chunks still run, and the first
+    /// panic is resumed on the caller once all of them have finished.
     pub fn run<F>(&self, n_chunks: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -148,9 +167,9 @@ impl ThreadPool {
         }
 
         let _guard = self.submit.lock();
+        let f_ref: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: see module-level safety comment; `run` blocks until every
         // chunk finished, so erasing the lifetime of `f` is sound.
-        let f_ref: &(dyn Fn(usize) + Sync) = &f;
         let f_erased: JobFn = unsafe {
             JobFn(std::mem::transmute::<
                 *const (dyn Fn(usize) + Sync),
@@ -162,6 +181,7 @@ impl ThreadPool {
             n_chunks,
             next: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
+            panic: Mutex::new(None),
         });
 
         {
@@ -171,7 +191,8 @@ impl ThreadPool {
             self.shared.job_ready.notify_all();
         }
 
-        // Participate, with nested calls collapsing to sequential.
+        // Participate, with nested calls collapsing to sequential. `work`
+        // never unwinds, so the flag is always reset.
         IN_POOL.with(|c| c.set(true));
         job.work();
         IN_POOL.with(|c| c.set(false));
@@ -184,8 +205,11 @@ impl ThreadPool {
             }
         }
         // Retire the job so late-waking workers do not rescan it.
-        let mut slot = self.shared.slot.lock();
-        slot.1 = None;
+        self.shared.slot.lock().1 = None;
+        let panic = job.panic.lock().take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -359,6 +383,97 @@ mod tests {
         assert_eq!(sum.load(Ordering::Relaxed), 255 * 256 / 2);
         pool.set_active_threads(usize::MAX);
         assert_eq!(pool.active_threads(), 5);
+    }
+
+    /// Run `body` on its own thread; fail, rather than hang, after 10 s.
+    fn within_timeout(body: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::RecvTimeoutError::Timeout;
+        let (done, finished) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            body();
+            done.send(())
+        });
+        // A panicking body drops `done`, which also ends the wait.
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(!matches!(waited, Err(Timeout)), "pool job hung");
+        if let Err(panic) = body.join() {
+            resume_unwind(panic);
+        }
+    }
+
+    fn on_worker() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|name| name.starts_with("parscan-worker-"))
+    }
+
+    fn wait_for(flag: &AtomicBool) {
+        while !flag.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_and_the_pool_stays_usable() {
+        within_timeout(|| {
+            let pool = ThreadPool::new(1);
+            // Chunk 0 waits until the worker has run a chunk, so the worker
+            // runs one whichever thread claims what. Returns chunks run.
+            let job = |worker_panics: bool| {
+                let (worker_ran, chunks) = (AtomicBool::new(false), AtomicUsize::new(0));
+                pool.run(64, |i| {
+                    if on_worker() {
+                        worker_ran.store(true, Ordering::Release);
+                        if worker_panics {
+                            panic!("worker chunk panics");
+                        }
+                    } else if i == 0 {
+                        wait_for(&worker_ran);
+                    }
+                    chunks.fetch_add(1, Ordering::Relaxed);
+                });
+                chunks.into_inner()
+            };
+            let payload = catch_unwind(AssertUnwindSafe(|| job(true)))
+                .expect_err("the worker's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker chunk panics"));
+            assert!(!in_pool());
+            // The worker survived: a clean job runs every chunk, one of
+            // them on the worker.
+            assert_eq!(job(false), 64);
+        });
+    }
+
+    #[test]
+    fn submitter_panic_waits_for_in_flight_worker_chunks() {
+        within_timeout(|| {
+            let pool = ThreadPool::new(1);
+            let worker_started = AtomicBool::new(false);
+            let submitter_panicking = AtomicBool::new(false);
+            let worker_finished = AtomicBool::new(false);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(2, |_| {
+                    if on_worker() {
+                        worker_started.store(true, Ordering::Release);
+                        // Stay in the chunk well after the submitter
+                        // panicked: `run` must not return before this ends.
+                        wait_for(&submitter_panicking);
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        worker_finished.store(true, Ordering::Release);
+                    } else {
+                        wait_for(&worker_started);
+                        submitter_panicking.store(true, Ordering::Release);
+                        panic!("submitter chunk panics");
+                    }
+                })
+            }));
+            assert!(caught.is_err());
+            assert!(!in_pool(), "IN_POOL must be reset after a panic");
+            assert!(
+                worker_finished.load(Ordering::Acquire),
+                "run returned while a worker was still in the closure"
+            );
+        });
     }
 
     #[test]

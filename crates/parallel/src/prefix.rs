@@ -4,7 +4,7 @@
 //! span in the fork-join model (the chunk-total scan is `O(P)`).
 
 use crate::pool::{chunk_ranges, global};
-use crate::utils::{SyncMutPtr, SyncPtr};
+use crate::utils::SyncMutPtr;
 use parking_lot::Mutex;
 
 /// Exclusive prefix sum of `input`; returns `(prefixes, total)` where
@@ -34,12 +34,8 @@ pub fn exclusive_scan_into(input: &[usize], out: &mut [usize]) -> usize {
     let ranges = chunk_ranges(n, 4096);
     let n_chunks = ranges.len();
     let chunk_totals: Mutex<Vec<usize>> = Mutex::new(vec![0usize; n_chunks]);
-    let inp = SyncPtr::new(input);
     global().run(n_chunks, |c| {
-        let r = ranges[c].clone();
-        // SAFETY: chunk range is in bounds of `input`.
-        let slice = unsafe { inp.slice(r.start, r.len()) };
-        let total: usize = slice.iter().sum();
+        let total: usize = input[ranges[c].clone()].iter().sum();
         chunk_totals.lock()[c] = total;
     });
     let totals = chunk_totals.into_inner();
@@ -52,9 +48,10 @@ pub fn exclusive_scan_into(input: &[usize], out: &mut [usize]) -> usize {
     let outp = SyncMutPtr::new(out);
     global().run(n_chunks, |c| {
         let r = ranges[c].clone();
-        // SAFETY: disjoint chunk writes in bounds.
+        // SAFETY: chunk ranges are in bounds and disjoint, so no other
+        // chunk writes this part of `out`.
         let dst = unsafe { outp.slice_mut(r.start, r.len()) };
-        let src = unsafe { inp.slice(r.start, r.len()) };
+        let src = &input[r];
         let mut local = offsets[c];
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = local;

@@ -89,13 +89,9 @@ fn radix_pass<T, K>(
 {
     // Per-chunk digit histograms.
     let counts: Mutex<Vec<[u32; RADIX]>> = Mutex::new(vec![[0u32; RADIX]; n_chunks]);
-    let src_ptr = SyncPtr::new(src);
     global().run(n_chunks, |c| {
-        let r = ranges[c].clone();
-        // SAFETY: in-bounds read-only slice.
-        let chunk = unsafe { src_ptr.slice(r.start, r.len()) };
         let mut local = [0u32; RADIX];
-        for x in chunk {
+        for x in &src[ranges[c].clone()] {
             let d = ((key(x) >> shift) & (RADIX as u64 - 1)) as usize;
             local[d] += 1;
         }
@@ -117,15 +113,12 @@ fn radix_pass<T, K>(
 
     // Stable scatter.
     let dst_ptr = SyncMutPtr::new(dst);
-    let counts_ptr = SyncPtr::new(&counts);
     global().run(n_chunks, |c| {
-        let r = ranges[c].clone();
-        // SAFETY: chunk-local offset table; destinations are globally unique
-        // because offsets partition the output by (digit, chunk).
-        let chunk = unsafe { src_ptr.slice(r.start, r.len()) };
-        let mut offsets = unsafe { counts_ptr.slice(c, 1)[0] };
-        for &x in chunk {
+        let mut offsets = counts[c];
+        for &x in &src[ranges[c].clone()] {
             let d = ((key(&x) >> shift) & (RADIX as u64 - 1)) as usize;
+            // SAFETY: the offsets partition `0..src.len()` by (digit,
+            // chunk), so each destination is in bounds and written once.
             unsafe { dst_ptr.write(offsets[d] as usize, x) };
             offsets[d] += 1;
         }

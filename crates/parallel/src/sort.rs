@@ -118,7 +118,6 @@ where
     let segs_per_pair = (4 * threads).div_ceil(n_pairs).max(1);
 
     // Flat task list over (pair, segment).
-    let src_ptr = SyncPtr::new(src);
     let dst_ptr = SyncMutPtr::new(dst);
     global().run(n_pairs * segs_per_pair, |task| {
         let pair = task / segs_per_pair;
@@ -126,9 +125,7 @@ where
         let base = pair * pair_span;
         let a_end = (base + width).min(n);
         let b_end = (base + pair_span).min(n);
-        // SAFETY: pair regions are disjoint and in bounds.
-        let a = unsafe { src_ptr.slice(base, a_end - base) };
-        let b = unsafe { src_ptr.slice(a_end, b_end - a_end) };
+        let (a, b) = (&src[base..a_end], &src[a_end..b_end]);
         let total = a.len() + b.len();
         let seg_len = total.div_ceil(segs_per_pair);
         let o_start = (seg * seg_len).min(total);
@@ -138,6 +135,8 @@ where
         }
         let (ai, bi) = co_rank(o_start, a, b, cmp);
         let (aj, bj) = co_rank(o_end, a, b, cmp);
+        // SAFETY: segments split each pair's output range `base..b_end`
+        // into disjoint in-bounds parts, one per task.
         let out = unsafe { dst_ptr.slice_mut(base + o_start, o_end - o_start) };
         merge_into(&a[ai..aj], &b[bi..bj], out, cmp);
     });
@@ -213,11 +212,15 @@ mod tests {
 
     #[test]
     fn large_input_matches_std() {
-        let mut got = pseudo_random(300_000, 42);
-        let mut want = got.clone();
-        par_sort_unstable_by(&mut got, |a, b| a.cmp(b));
-        want.sort_unstable();
-        assert_eq!(got, want);
+        // Also empty, one element, and both sides of the sequential cutoff.
+        let t = SEQ_SORT_THRESHOLD;
+        for n in [0, 1, t - 1, t, t + 1, 300_000] {
+            let mut got = pseudo_random(n, 42);
+            let mut want = got.clone();
+            par_sort_unstable_by(&mut got, |a, b| a.cmp(b));
+            want.sort_unstable();
+            assert_eq!(got, want, "n = {n}");
+        }
     }
 
     #[test]

@@ -51,7 +51,12 @@ impl<T, F: Fn() -> T> ScratchPool<T, F> {
 /// regions; every use site is responsible for disjointness.
 #[derive(Clone, Copy)]
 pub struct SyncMutPtr<T>(pub *mut T);
+// SAFETY: the wrapper only hands `T`s to other threads to write or read
+// in place, which `T: Send` allows; the unsafe accessors make callers
+// keep the regions disjoint.
 unsafe impl<T: Send> Send for SyncMutPtr<T> {}
+// SAFETY: as for `Send`: sharing the pointer only lets threads reach
+// disjoint regions through the unsafe accessors.
 unsafe impl<T: Send> Sync for SyncMutPtr<T> {}
 
 impl<T> SyncMutPtr<T> {
@@ -82,7 +87,10 @@ impl<T> SyncMutPtr<T> {
 /// A shared-read raw pointer (for slices read by all workers).
 #[derive(Clone, Copy)]
 pub struct SyncPtr<T>(pub *const T);
+// SAFETY: the wrapper only gives out `&T`, and `T: Sync` makes shared
+// references usable from any thread, like `&[T]` itself.
 unsafe impl<T: Sync> Send for SyncPtr<T> {}
+// SAFETY: as for `Send`.
 unsafe impl<T: Sync> Sync for SyncPtr<T> {}
 
 impl<T> SyncPtr<T> {

@@ -17,8 +17,8 @@
 //!   SCAN-XP ([`parscan_baselines`])
 //! - [`dense`] — matmul similarities for dense graphs ([`parscan_dense`])
 //! - [`metrics`] — modularity, ARI & NMI ([`parscan_metrics`])
-//! - [`parallel`] — the fork-join substrate: flat pool, primitives, and a
-//!   nested work-stealing `join` ([`parscan_parallel`])
+//! - [`parallel`] — the fork-join substrate: one flat worker pool and the
+//!   data-parallel primitives built on it ([`parscan_parallel`])
 //! - [`server`] — concurrent query serving: named resident indexes in a
 //!   byte-budgeted [`GraphRegistry`](parscan_server::GraphRegistry),
 //!   cached [`QueryEngine`](parscan_server::QueryEngine)s with in-flight

@@ -115,3 +115,26 @@ fn index_reuse_across_many_queries() {
         prev_clustered = clustered;
     }
 }
+
+#[test]
+fn concurrent_queries_against_shared_index() {
+    // Many OS threads querying one index while the flat pool serves each
+    // query's internal parallelism — the "analyst dashboard" workload.
+    use parscan::prelude::*;
+    let (g, _) = parscan::graph::generators::planted_partition(2_000, 10, 12.0, 1.0, 13);
+    let index = ScanIndex::build(g, IndexConfig::default());
+    let reference: Vec<Clustering> = (2..6u32)
+        .map(|mu| index.cluster_with(QueryParams::new(mu, 0.3), BorderAssignment::MostSimilar))
+        .collect();
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                for (i, mu) in (2..6u32).enumerate() {
+                    let c = index
+                        .cluster_with(QueryParams::new(mu, 0.3), BorderAssignment::MostSimilar);
+                    assert_eq!(c, reference[i]);
+                }
+            });
+        }
+    });
+}

@@ -193,20 +193,6 @@ fn dynamic_update_then_persist_round_trip() {
 }
 
 #[test]
-fn fork_join_sort_agrees_with_flat_sort_on_graph_data() {
-    // Sort the edge similarity pairs with both substrate sorts.
-    let g = parscan::graph::generators::rmat(9, 8, 11);
-    let sims = parscan::core::similarity_exact::compute_merge_based(&g, SimilarityMeasure::Cosine);
-    let mut a: Vec<(u32, u32)> = (0..g.num_slots())
-        .map(|s| (sims.slot(s).to_bits(), s as u32))
-        .collect();
-    let mut b = a.clone();
-    parscan::parallel::quicksort::par_quicksort_by(&mut a, |x, y| x.cmp(y));
-    parscan::parallel::sort::par_sort_unstable_by(&mut b, |x, y| x.cmp(y));
-    assert_eq!(a, b);
-}
-
-#[test]
 fn torn_temp_files_never_shadow_the_durable_store_generation() {
     // Fabricate the on-disk states a kill mid-`atomic_write` can leave
     // behind — temp files truncated at arbitrary points or bit-flipped
