@@ -62,8 +62,7 @@ pub struct ApproxConfig {
     /// Number of LSH samples `k`.
     pub samples: usize,
     pub seed: u64,
-    /// Apply the §6.3 low-degree heuristic (disable to sketch everything —
-    /// the ablation the Criterion benches measure).
+    /// Apply the §6.3 low-degree heuristic (disable to sketch everything).
     pub degree_heuristic: bool,
     pub sort: SortStrategy,
 }

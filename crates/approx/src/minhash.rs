@@ -34,6 +34,8 @@ where
     let selected = parscan_parallel::filter::pack_index_u32(n, |v| select(v as VertexId));
     let mut row = vec![NONE; n];
     let ptr = SyncMutPtr::new(&mut row);
+    // SAFETY: `selected` holds distinct vertex ids below `n`, so each
+    // write is in bounds and no two iterations share a slot.
     par_for(selected.len(), 2048, |i| unsafe {
         ptr.write(selected[i] as usize, i as u32);
     });

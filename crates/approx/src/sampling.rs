@@ -6,7 +6,7 @@
 //! compare the efficiency and clustering quality of the LinkSCAN\*
 //! sampling approach versus the LSH approach of our paper." This module
 //! implements that sampling approach so the comparison can actually run
-//! (see the `sampling_vs_lsh` harness binary and `benches/approx.rs`).
+//! (see the `sampling_vs_lsh` binary in `crates/bench`).
 //!
 //! The estimator: fix a keep-probability `p` and a seed. A *vertex* `x` is
 //! kept iff `hash(seed, x) < p`. The open intersection of an edge

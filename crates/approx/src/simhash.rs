@@ -48,6 +48,8 @@ impl SimHashSketches {
         let mut row = vec![NONE; n];
         {
             let ptr = SyncMutPtr::new(&mut row);
+            // SAFETY: `selected` holds distinct vertex ids below `n`, so
+            // each write is in bounds and no two iterations share a slot.
             par_for(selected.len(), 2048, |i| unsafe {
                 ptr.write(selected[i] as usize, i as u32);
             });

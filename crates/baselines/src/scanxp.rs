@@ -5,7 +5,7 @@
 //! compute every edge similarity eagerly with per-edge neighborhood
 //! intersections, then find cores and clusters — with no pruning (pSCAN),
 //! no memoization tricks, and no index. ppSCAN's authors show pruning
-//! beats this; having it here lets the benches reproduce that ordering
+//! beats this; having it here lets `fig6_query_eps` reproduce that ordering
 //! (`index query < ppSCAN < SCAN-XP < sequential SCAN` in per-query cost).
 //!
 //! Per query, the cost is `Θ(similarity work) + O(m + n)` regardless of

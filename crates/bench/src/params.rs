@@ -22,18 +22,7 @@ pub fn eps_step() -> f32 {
 /// The Σ-shaped sweep grid for a graph whose maximum closed degree is
 /// `max_mu`, at the configured ε step.
 pub fn sigma_sweep_grid(max_mu: u32) -> SweepGrid {
-    let full = SweepGrid::paper_sigma(max_mu);
-    let step = eps_step();
-    let mut epsilons = Vec::new();
-    let mut eps = step;
-    while eps < 1.0 {
-        epsilons.push(eps);
-        eps += step;
-    }
-    SweepGrid {
-        mus: full.mus,
-        epsilons,
-    }
+    SweepGrid::stepped(max_mu, eps_step())
 }
 
 /// The flat (μ, ε) list of the grid (μ-major), for harnesses that iterate.

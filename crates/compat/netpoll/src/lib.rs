@@ -114,10 +114,8 @@ mod imp {
         write_fd: RawFd,
     }
 
-    // Raw fds are plain integers; `wake` and `drain` are single
-    // syscalls, safe from any thread.
-    unsafe impl Send for Waker {}
-    unsafe impl Sync for Waker {}
+    // Raw fds are plain integers, so `Waker` is `Send + Sync`; `wake`
+    // and `drain` are single syscalls, safe from any thread.
 
     impl Waker {
         /// Build the pipe pair and register its read end with `poller`
@@ -137,6 +135,9 @@ mod imp {
             // EAGAIN (pipe full) and EPIPE/EBADF (poller torn down
             // first during shutdown) are all fine: either a wake is
             // already pending or nobody is waiting anymore.
+            // SAFETY: `byte` is a live local, readable for the one byte
+            // passed; `write_fd` belongs to this waker and stays open
+            // until `drop`.
             unsafe {
                 sys_common::write(self.write_fd, (&byte as *const u8).cast(), 1);
             }
@@ -147,6 +148,9 @@ mod imp {
         pub fn drain(&self) {
             let mut buf = [0u8; 64];
             loop {
+                // SAFETY: `buf` is a live local, writable for the
+                // `buf.len()` bytes passed; `read_fd` belongs to this
+                // waker and stays open until `drop`.
                 let n =
                     unsafe { sys_common::read(self.read_fd, buf.as_mut_ptr().cast(), buf.len()) };
                 if n <= 0 {
@@ -158,6 +162,8 @@ mod imp {
 
     impl Drop for Waker {
         fn drop(&mut self) {
+            // SAFETY: `nonblocking_pipe` opened both fds for this waker
+            // alone; they are closed once, here, and never used after.
             unsafe {
                 sys_common::close(self.read_fd);
                 sys_common::close(self.write_fd);
@@ -214,6 +220,7 @@ mod imp {
     #[cfg(target_os = "linux")]
     fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {
         let mut fds = [0i32; 2];
+        // SAFETY: `fds` is the two-`c_int` array `pipe2` fills in.
         let rc = unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_NONBLOCK | sys::O_CLOEXEC) };
         if rc < 0 {
             return Err(last_os_error());
@@ -232,6 +239,7 @@ mod imp {
     impl Poller {
         /// Create the poller (one `epoll` instance).
         pub fn new() -> io::Result<Poller> {
+            // SAFETY: the call takes no pointers, only a flag value.
             let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(last_os_error());
@@ -255,6 +263,8 @@ mod imp {
                 events: Self::mask(interest),
                 data: token,
             };
+            // SAFETY: `ev` is a live local with the kernel's
+            // `epoll_event` layout, read only during the call.
             let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc < 0 {
                 return Err(last_os_error());
@@ -277,6 +287,7 @@ mod imp {
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
             // A non-null event pointer keeps pre-2.6.9 kernel ABI happy.
             let mut ev = sys::EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `ctl`: `ev` is a live local `epoll_event`.
             let rc = unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
             if rc < 0 {
                 return Err(last_os_error());
@@ -301,6 +312,8 @@ mod imp {
                 Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
             };
             loop {
+                // SAFETY: `buf` has `CAP` slots and the kernel writes at
+                // most `maxevents = CAP` of them.
                 let n =
                     unsafe { sys::epoll_wait(self.epfd, buf.as_mut_ptr(), CAP as i32, timeout_ms) };
                 if n < 0 {
@@ -331,6 +344,8 @@ mod imp {
     #[cfg(target_os = "linux")]
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: `epfd` belongs to this poller alone; it is closed
+            // once, here, and never used after.
             unsafe {
                 sys_common::close(self.epfd);
             }
@@ -375,13 +390,18 @@ mod imp {
     #[cfg(not(target_os = "linux"))]
     fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {
         let mut fds = [0i32; 2];
+        // SAFETY: `fds` is the two-`c_int` array `pipe` fills in.
         if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
             return Err(last_os_error());
         }
         for fd in fds {
+            // SAFETY: `fcntl` with `F_GETFL`/`F_SETFL` takes no pointers.
             let flags = unsafe { sys::fcntl(fd, sys::F_GETFL, 0) };
+            // SAFETY: as above.
             if flags < 0 || unsafe { sys::fcntl(fd, sys::F_SETFL, flags | sys::O_NONBLOCK) } < 0 {
                 let err = last_os_error();
+                // SAFETY: both fds were just opened here and are closed
+                // once before the error returns.
                 unsafe {
                     sys_common::close(fds[0]);
                     sys_common::close(fds[1]);
@@ -475,6 +495,8 @@ mod imp {
                 Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
             };
             loop {
+                // SAFETY: `fds` is a live `Vec` of `fds.len()` pollfd
+                // entries, the count passed.
                 let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as _, timeout_ms) };
                 if n < 0 {
                     let err = last_os_error();

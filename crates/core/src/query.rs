@@ -156,24 +156,9 @@ impl ScanIndex {
         )
     }
 
-    /// SCAN clustering with full control over query internals.
+    /// SCAN clustering with full control over query internals
+    /// (Algorithms 3–5).
     pub fn cluster_with_opts(&self, params: QueryParams, opts: QueryOptions) -> Clustering {
-        let (labels, core_flag) = self.cluster_parts(params, opts);
-        Clustering::new(labels, core_flag)
-    }
-
-    /// Label-only clustering: the per-vertex cluster labels without the
-    /// [`Clustering`] wrapper — skipping its cluster-count reduction —
-    /// for callers (membership answers, serving layers) that only need
-    /// `labels[v]`. Identical label values to [`Self::cluster_with_opts`].
-    pub fn cluster_labels(&self, params: QueryParams, opts: QueryOptions) -> Vec<u32> {
-        self.cluster_parts(params, opts).0
-    }
-
-    /// Shared query engine behind [`Self::cluster_with_opts`] and
-    /// [`Self::cluster_labels`]: Algorithms 3–5 producing raw label and
-    /// core-flag arrays.
-    fn cluster_parts(&self, params: QueryParams, opts: QueryOptions) -> (Vec<u32>, Vec<bool>) {
         let g = self.graph();
         let no = self.neighbor_order();
         let n = g.num_vertices();
@@ -181,10 +166,11 @@ impl ScanIndex {
         let border = opts.border;
         let cores = self.cores(params);
 
-        // Core flags (cores are distinct, so writes are disjoint).
         let mut core_flag = vec![false; n];
         {
             let ptr = SyncMutPtr::new(&mut core_flag);
+            // SAFETY: cores are distinct vertex ids below `n`, so each
+            // write is in bounds and no two iterations share a slot.
             par_for(cores.len(), 1024, |i| unsafe {
                 ptr.write(cores[i] as usize, true);
             });
@@ -298,7 +284,7 @@ impl ScanIndex {
         }
 
         let labels: Vec<u32> = labels.into_iter().map(AtomicU32::into_inner).collect();
-        (labels, core_flag)
+        Clustering::new(labels, core_flag)
     }
 
     /// A degree-bounded summary of one vertex at `(μ, ε)` — its closed
@@ -617,22 +603,6 @@ mod tests {
         // Error messages match the panicking constructor's wording.
         let msg = QueryParamError::MuTooSmall { mu: 1 }.to_string();
         assert!(msg.contains("μ ≥ 2"), "{msg}");
-    }
-
-    #[test]
-    fn cluster_labels_match_full_query() {
-        let (g, _) = generators::planted_partition(300, 3, 10.0, 1.0, 19);
-        let idx = ScanIndex::build(g, IndexConfig::default());
-        for (mu, eps) in [(2u32, 0.3f32), (3, 0.5), (5, 0.7)] {
-            let params = QueryParams::new(mu, eps);
-            let opts = QueryOptions {
-                border: BorderAssignment::MostSimilar,
-                ..Default::default()
-            };
-            let full = idx.cluster_with_opts(params, opts);
-            let labels = idx.cluster_labels(params, opts);
-            assert_eq!(full.labels, labels, "μ={mu}, ε={eps}");
-        }
     }
 
     #[test]

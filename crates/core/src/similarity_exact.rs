@@ -15,9 +15,6 @@
 //!   of skewed graphs don't pile into one fixed-grain chunk. Intersections
 //!   dispatch between merge, gallop, and an amortized bitset probe
 //!   ([`parscan_graph::intersect`]).
-//! - [`compute_merge_based_atomic`] — the pre-rework kernel (per-slot
-//!   `AtomicU64` accumulators + CAS loops), kept as the perf-regression
-//!   reference for `BENCH_index.json` and as an extra oracle.
 //! - [`compute_hash_based`] — Algorithm 1: a (phase-concurrent) hash table
 //!   of all directed edges; each edge intersects its smaller endpoint's
 //!   neighborhood against the table. `O(αm)` expected work.
@@ -35,7 +32,6 @@ use parscan_parallel::hashtable::{ConcurrentMapU64, ConcurrentSetU64};
 use parscan_parallel::primitives::{par_for, par_for_range, par_map};
 use parscan_parallel::utils::{ScratchPool, SyncMutPtr};
 use parscan_parallel::weighted::par_for_weighted_range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-slot similarity scores aligned with a graph's CSR slots.
 #[derive(Clone, Debug)]
@@ -111,27 +107,6 @@ impl EdgeSimilarities {
     pub fn of_edge(&self, g: &CsrGraph, u: VertexId, v: VertexId) -> Option<f32> {
         g.slot_of(u, v).map(|s| self.per_slot[s])
     }
-}
-
-/// Atomic add for f64 stored as bits in an `AtomicU64`.
-#[inline]
-fn atomic_f64_add(cell: &AtomicU64, add: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = f64::from_bits(cur) + add;
-        match cell.compare_exchange_weak(cur, next.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Canonical slot of edge `{u, v}`: its slot in the smaller endpoint's list.
-#[inline]
-fn canonical_slot(g: &CsrGraph, u: VertexId, v: VertexId) -> usize {
-    let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-    g.slot_of(lo, hi).expect("edge must exist")
 }
 
 /// The paper's merge-based triangle-counting strategy (§6.1), with a
@@ -314,163 +289,6 @@ where
     total
 }
 
-/// The seed's original merge-based kernel: per-slot `AtomicU64`
-/// accumulators with `fetch_add`/CAS loops in the triangle loop,
-/// binary-searched canonical slots, and the original two-pass finalize
-/// (mirror pass re-finds each twin by binary search). Kept verbatim as
-/// the pre-rework reference that `BENCH_index.json` measures speedups
-/// against, and as an extra oracle in the strategy-agreement tests. Not
-/// reachable from [`crate::index::ExactStrategy`].
-pub fn compute_merge_based_atomic(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimilarities {
-    check_measure(g, measure);
-    let dag = DegreeOrderedDag::build(g);
-    let owners = dag.edge_owners();
-    let m = dag.num_edges();
-
-    // Canonical undirected slot for every directed DAG edge.
-    let can_slots: Vec<u32> = par_map(m, 2048, |e| {
-        let (u, v) = (owners[e], dag.edge_target(e));
-        canonical_slot(g, u, v) as u32
-    });
-
-    // Per-canonical-slot accumulators: triangle counts (unweighted) or
-    // weight-product sums as f64 bits (weighted).
-    let weighted = g.is_weighted();
-    let acc: Vec<AtomicU64> = (0..g.num_slots()).map(|_| AtomicU64::new(0)).collect();
-
-    par_for(m, 64, |e| {
-        let u = owners[e];
-        let v = dag.edge_target(e);
-        let outs_u = dag.out_neighbors(u);
-        let outs_v = dag.out_neighbors(v);
-        let base_u = dag.out_range(u).start;
-        let base_v = dag.out_range(v).start;
-        let cs_uv = can_slots[e] as usize;
-        let w_uv = g.slot_weight(cs_uv) as f64;
-        merge_common_seed(outs_u, outs_v, |i, j| {
-            let cs_ux = can_slots[base_u + i] as usize;
-            let cs_vx = can_slots[base_v + j] as usize;
-            if weighted {
-                let w_ux = g.slot_weight(cs_ux) as f64;
-                let w_vx = g.slot_weight(cs_vx) as f64;
-                atomic_f64_add(&acc[cs_uv], w_ux * w_vx);
-                atomic_f64_add(&acc[cs_ux], w_uv * w_vx);
-                atomic_f64_add(&acc[cs_vx], w_uv * w_ux);
-            } else {
-                acc[cs_uv].fetch_add(1, Ordering::Relaxed);
-                acc[cs_ux].fetch_add(1, Ordering::Relaxed);
-                acc[cs_vx].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    });
-
-    finalize_two_pass(g, measure, |s| {
-        let raw = acc[s].load(Ordering::Relaxed);
-        if weighted {
-            f64::from_bits(raw)
-        } else {
-            raw as f64
-        }
-    })
-}
-
-/// The seed's original merge/gallop intersection, preserved for
-/// [`compute_merge_based_atomic`] only so later tuning of the shared
-/// [`parscan_graph::intersect`] kernels cannot skew the pre-rework
-/// reference measurement.
-fn merge_common_seed<F>(a: &[VertexId], b: &[VertexId], mut f: F)
-where
-    F: FnMut(usize, usize),
-{
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    // Galloping path: probe each element of the much-smaller list.
-    if a.len() * 8 < b.len() {
-        for (i, &x) in a.iter().enumerate() {
-            if let Ok(j) = b.binary_search(&x) {
-                f(i, j);
-            }
-        }
-        return;
-    }
-    if b.len() * 8 < a.len() {
-        for (j, &x) in b.iter().enumerate() {
-            if let Ok(i) = a.binary_search(&x) {
-                f(i, j);
-            }
-        }
-        return;
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                f(i, j);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// The seed's original finalize, preserved for
-/// [`compute_merge_based_atomic`] only: canonical pass, then a mirror
-/// pass that binary-searches every twin slot.
-fn finalize_two_pass<F>(g: &CsrGraph, measure: SimilarityMeasure, open_value: F) -> EdgeSimilarities
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    let n = g.num_vertices();
-    let norms: Option<Vec<f64>> = g
-        .is_weighted()
-        .then(|| par_map(n, 1024, |v| g.closed_norm_sq(v as VertexId)));
-
-    let mut sims = vec![0f32; g.num_slots()];
-    let ptr = SyncMutPtr::new(&mut sims);
-    // Pass 1: canonical slots (u < v).
-    par_for(n, 64, |u| {
-        let u = u as VertexId;
-        for s in g.slot_range(u) {
-            let v = g.slot_neighbor(s);
-            if v <= u {
-                continue;
-            }
-            let value = open_value(s);
-            let score = match &norms {
-                Some(norms) => measure.score_weighted(
-                    value,
-                    g.slot_weight(s) as f64,
-                    norms[u as usize],
-                    norms[v as usize],
-                ),
-                None => measure.score_unweighted(value as u64, g.degree(u), g.degree(v)),
-            };
-            // SAFETY: slot `s` is written by exactly one (u, v) pair.
-            unsafe { ptr.write(s, score as f32) };
-        }
-    });
-    // Pass 2: mirror to the twin slots (v > u side already written).
-    par_for(n, 64, |u| {
-        let u = u as VertexId;
-        for s in g.slot_range(u) {
-            let v = g.slot_neighbor(s);
-            if v >= u {
-                continue;
-            }
-            let twin = g.slot_of(v, u).expect("symmetric edge");
-            // SAFETY: disjoint slots; pass 1 completed (pool barrier).
-            unsafe {
-                let val = *ptr.slice_mut(twin, 1).get_unchecked(0);
-                ptr.write(s, val);
-            }
-        }
-    });
-    EdgeSimilarities::from_per_slot(sims)
-}
-
 /// Algorithm 1: hash-table lookups of the smaller endpoint's neighbors.
 pub fn compute_hash_based(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimilarities {
     check_measure(g, measure);
@@ -568,8 +386,7 @@ pub fn open_intersection_value(g: &CsrGraph, s: usize) -> f64 {
 
 /// Score every canonical slot with `open_value(slot)` and write the
 /// canonical + mirror slots in one pass: the twin-slot permutation makes
-/// the mirror a plain store, so the old binary-searching second pass is
-/// gone.
+/// the mirror a plain store.
 fn finalize<F>(g: &CsrGraph, measure: SimilarityMeasure, open_value: F) -> EdgeSimilarities
 where
     F: Fn(usize) -> f64 + Sync,
@@ -693,10 +510,10 @@ mod tests {
         assert_sims_close(&hash, &full, 1e-5);
     }
 
-    /// Skewed-graph oracle suite: the contention-free kernel and the
-    /// atomic reference kernel must both reproduce `compute_full_merge`
-    /// exactly on the degree distributions that stress the scheduler and
-    /// the bitset path (power-law hubs, a pure star, a dense clique).
+    /// Skewed-graph oracle suite: the contention-free kernel must
+    /// reproduce `compute_full_merge` exactly on the degree distributions
+    /// that stress the scheduler and the bitset path (power-law hubs, a
+    /// pure star, a dense clique).
     #[test]
     fn skewed_oracles_unweighted() {
         let cases = [
@@ -709,9 +526,7 @@ mod tests {
             for measure in [SimilarityMeasure::Cosine, SimilarityMeasure::Jaccard] {
                 let full = compute_full_merge(g, measure);
                 let merge = compute_merge_based(g, measure);
-                let atomic = compute_merge_based_atomic(g, measure);
                 assert_sims_close(&merge, &full, 0.0);
-                assert_sims_close(&atomic, &full, 0.0);
             }
         }
     }
@@ -725,9 +540,7 @@ mod tests {
         for g in [&sparse, &dense] {
             let full = compute_full_merge(g, SimilarityMeasure::Cosine);
             let merge = compute_merge_based(g, SimilarityMeasure::Cosine);
-            let atomic = compute_merge_based_atomic(g, SimilarityMeasure::Cosine);
             assert_sims_close(&merge, &full, 1e-5);
-            assert_sims_close(&atomic, &full, 1e-5);
         }
     }
 

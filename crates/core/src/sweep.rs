@@ -33,26 +33,30 @@ impl SweepGrid {
     /// ε ∈ {.01, .02, …, .99}, with μ capped at `max_mu` (pass the graph's
     /// max closed degree — larger μ yield empty clusterings anyway).
     pub fn paper_sigma(max_mu: u32) -> Self {
-        let mut mus = Vec::new();
-        let mut mu = 2u32;
-        while mu <= max_mu.max(2) && mu <= 1 << 18 {
-            mus.push(mu);
-            mu = mu.saturating_mul(2);
+        SweepGrid {
+            mus: doubling_mus(max_mu),
+            epsilons: (1..=99).map(|i| i as f32 / 100.0).collect(),
         }
-        if mus.is_empty() {
-            mus.push(2);
-        }
-        let epsilons = (1..=99).map(|i| i as f32 / 100.0).collect();
-        SweepGrid { mus, epsilons }
     }
 
-    /// A coarser grid for quick exploration: the same μ doubling capped at
-    /// `max_mu`, and ε ∈ {0.05, 0.10, …, 0.95}.
-    pub fn coarse(max_mu: u32) -> Self {
-        let full = Self::paper_sigma(max_mu);
+    /// The same μ doubling capped at `max_mu`, with ε at every multiple
+    /// of `eps_step` below 1: ε = `i as f32 * eps_step` for i = 1, 2, ….
+    /// Exact multiples, not repeated addition (which drifts in f32), so
+    /// `parscan sweep` and the server's `SWEEP` evaluate the same points.
+    /// `stepped(max_mu, 0.05)` is ε ∈ {0.05, 0.10, …, 0.95}. The grid
+    /// has about `1 / eps_step` ε values, so callers bound the step from
+    /// below.
+    ///
+    /// # Panics
+    /// If `eps_step` is not positive.
+    pub fn stepped(max_mu: u32, eps_step: f32) -> Self {
+        assert!(eps_step > 0.0, "eps_step must be positive, got {eps_step}");
         SweepGrid {
-            mus: full.mus,
-            epsilons: (1..=19).map(|i| i as f32 * 0.05).collect(),
+            mus: doubling_mus(max_mu),
+            epsilons: (1..)
+                .map(|i| i as f32 * eps_step)
+                .take_while(|&e| e < 1.0)
+                .collect(),
         }
     }
 
@@ -66,6 +70,20 @@ impl SweepGrid {
         }
         out
     }
+}
+
+/// μ ∈ {2, 4, 8, …, 2^18} capped at `max_mu`; never empty.
+fn doubling_mus(max_mu: u32) -> Vec<u32> {
+    let mut mus = Vec::new();
+    let mut mu = 2u32;
+    while mu <= max_mu.max(2) && mu <= 1 << 18 {
+        mus.push(mu);
+        mu = mu.saturating_mul(2);
+    }
+    if mus.is_empty() {
+        mus.push(2);
+    }
+    mus
 }
 
 /// Score of one grid point.
@@ -219,6 +237,20 @@ mod tests {
     }
 
     #[test]
+    fn stepped_grid_is_exact_multiples_of_the_step() {
+        let coarse = SweepGrid::stepped(10, 0.05);
+        assert_eq!(coarse.mus, SweepGrid::paper_sigma(10).mus);
+        assert_eq!(coarse.epsilons.len(), 19);
+        // Repeated f32 addition gives 0.40000004 here.
+        assert_eq!(coarse.epsilons[7], 0.4f32);
+        let fine = SweepGrid::stepped(10, 0.01);
+        assert_eq!(fine.epsilons.len(), 99);
+        for (i, &e) in fine.epsilons.iter().enumerate() {
+            assert_eq!(e, (i + 1) as f32 * 0.01, "ε index {i}");
+        }
+    }
+
+    #[test]
     fn sweep_is_deterministic_and_covers_grid() {
         let (g, _) = generators::planted_partition(300, 3, 10.0, 1.0, 11);
         let idx = ScanIndex::build(g, IndexConfig::default());
@@ -240,7 +272,7 @@ mod tests {
     fn best_is_argmax() {
         let (g, _) = generators::planted_partition(200, 2, 9.0, 1.0, 3);
         let idx = ScanIndex::build(g, IndexConfig::default());
-        let grid = SweepGrid::coarse(idx.graph().max_degree() as u32 + 1);
+        let grid = SweepGrid::stepped(idx.graph().max_degree() as u32 + 1, 0.05);
         let result = sweep(&idx, &grid, quality_proxy);
         let max = result
             .points

@@ -72,11 +72,15 @@ impl Matrix {
             for i in rows {
                 // SAFETY: each output row is written by one chunk only.
                 let out_row = unsafe { out_ptr.slice_mut(i * m, m) };
+                // SAFETY: row `i < n` of the `n × k_dim` left operand is in
+                // bounds, and no thread writes an operand during the product.
                 let a_row = unsafe { a.slice(i * k_dim, k_dim) };
                 for (k, &aik) in a_row.iter().enumerate() {
                     if aik == 0.0 {
                         continue; // adjacency matrices are mostly zero
                     }
+                    // SAFETY: row `k < k_dim` of the `k_dim × m` right
+                    // operand is in bounds; it is only read.
                     let b_row = unsafe { b.slice(k * m, m) };
                     for (o, &bkj) in out_row.iter_mut().zip(b_row) {
                         *o += aik * bkj;

@@ -1,6 +1,8 @@
 //! Graph serialization: whitespace edge-list text (interoperable with SNAP
 //! dumps, which the paper's datasets ship as) and a compact little-endian
 //! binary format for fast reload of generated benchmark inputs.
+//! [`read_graph`] and [`write_graph`] pick between these and METIS
+//! ([`crate::metis`]) by file extension.
 //!
 //! Binary layout (all little-endian):
 //! `magic "PSCG" | version u32 | weighted u8 | n u64 | slots u64 |
@@ -13,6 +15,50 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PSCG";
 const VERSION: u32 = 1;
+
+/// The on-disk graph formats, told apart by file extension.
+enum Format {
+    /// `.bin`: this module's binary format.
+    Binary,
+    /// `.graph` / `.metis`: METIS adjacency lists.
+    Metis,
+    /// Anything else: a whitespace edge list.
+    Text,
+}
+
+impl Format {
+    fn of(path: &Path) -> Format {
+        let name = path.to_string_lossy();
+        if name.ends_with(".bin") {
+            Format::Binary
+        } else if name.ends_with(".graph") || name.ends_with(".metis") {
+            Format::Metis
+        } else {
+            Format::Text
+        }
+    }
+}
+
+/// Read a graph file in the format its extension names: `.bin` (binary),
+/// `.graph`/`.metis` (METIS), anything else a text edge list.
+pub fn read_graph<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
+    let path = path.as_ref();
+    match Format::of(path) {
+        Format::Binary => read_binary(path),
+        Format::Metis => crate::metis::read_metis(path),
+        Format::Text => read_edge_list_text(path, None),
+    }
+}
+
+/// Write `g` in the format `path`'s extension names (see [`read_graph`]).
+pub fn write_graph<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {
+    let path = path.as_ref();
+    match Format::of(path) {
+        Format::Binary => write_binary(g, path),
+        Format::Metis => crate::metis::write_metis(g, path),
+        Format::Text => write_edge_list_text(g, path),
+    }
+}
 
 /// Write `g` as a text edge list (`u v` or `u v w` per line, canonical
 /// `u < v` orientation, `#`-prefixed header).
@@ -222,6 +268,29 @@ mod tests {
         let h = read_binary(&p).unwrap();
         assert_eq!(g, h);
         std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn extension_picks_the_format_both_ways() {
+        type Reader = fn(&Path) -> io::Result<CsrGraph>;
+        let formats: [(&str, Reader); 4] = [
+            ("bin", |p| read_binary(p)),
+            ("graph", |p| crate::metis::read_metis(p)),
+            ("metis", |p| crate::metis::read_metis(p)),
+            ("txt", |p| read_edge_list_text(p, None)),
+        ];
+        let unweighted = generators::erdos_renyi(200, 1500, 5);
+        let (weighted, _) = generators::weighted_planted_partition(150, 3, 8.0, 1.0, 2);
+        for (ext, read_as) in formats {
+            for g in [&unweighted, &weighted] {
+                let p = tmp(&format!("dispatch_w{}", g.is_weighted())).with_extension(ext);
+                write_graph(g, &p).unwrap();
+                assert_eq!(&read_graph(&p).unwrap(), g, ".{ext}");
+                // The file really is in the extension's format.
+                assert_eq!(&read_as(&p).unwrap(), g, ".{ext}");
+                std::fs::remove_file(p).ok();
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! - [`sort`]: parallel comparison sort (chunk sort + co-rank parallel merge),
 //! - [`radix`]: parallel stable LSD integer sort (the Thm 4.2 ingredient),
 //! - [`hashtable`]: phase-concurrent open-addressing hash set/map,
-//! - [`dedup`]: parallel duplicate removal,
 //! - [`union_find`]: lock-free concurrent union-find (ConnectIt-style),
 //! - [`connectivity`]: parallel connected components over explicit edge
 //!   lists (the Gazit role from §2.3.2).
@@ -26,10 +25,7 @@
 //! [`pool::set_active_threads`], which the scaling experiments use to sweep
 //! thread counts without re-creating pools.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
-
 pub mod connectivity;
-pub mod dedup;
 pub mod filter;
 pub mod hashtable;
 pub mod pool;
@@ -42,13 +38,12 @@ pub mod utils;
 pub mod weighted;
 
 pub use connectivity::connected_components;
-pub use dedup::remove_duplicates_u64;
 pub use filter::{filter, pack_index_u32};
 pub use hashtable::{ConcurrentMapU64, ConcurrentSetU64};
 pub use pool::{num_threads, set_active_threads};
-pub use prefix::{exclusive_scan_in_place, exclusive_scan_usize};
-pub use primitives::{par_for, par_for_range, par_map, reduce, reduce_commutative};
-pub use radix::{par_radix_sort_by_key, par_radix_sort_pairs};
-pub use sort::{par_sort_by, par_sort_unstable_by};
+pub use prefix::exclusive_scan_usize;
+pub use primitives::{par_for, par_for_range, par_map, reduce};
+pub use radix::par_radix_sort_by_key;
+pub use sort::par_sort_unstable_by;
 pub use union_find::ConcurrentUnionFind;
 pub use weighted::{par_for_weighted, par_for_weighted_range, weighted_chunk_ranges};

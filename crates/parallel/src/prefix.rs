@@ -61,12 +61,6 @@ pub fn exclusive_scan_into(input: &[usize], out: &mut [usize]) -> usize {
     acc
 }
 
-/// In-place exclusive scan; returns the grand total.
-pub fn exclusive_scan_in_place(data: &mut [usize]) -> usize {
-    let snapshot = data.to_vec();
-    exclusive_scan_into(&snapshot, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,14 +89,5 @@ mod tests {
         let (want, want_total) = oracle(&input);
         assert_eq!(total, want_total);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn in_place_matches() {
-        let mut data: Vec<usize> = (0..50_000).map(|i| i % 5).collect();
-        let (want, want_total) = oracle(&data);
-        let total = exclusive_scan_in_place(&mut data);
-        assert_eq!(total, want_total);
-        assert_eq!(data, want);
     }
 }

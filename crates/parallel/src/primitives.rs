@@ -59,21 +59,6 @@ where
     unsafe { std::mem::transmute::<Vec<MaybeUninit<T>>, Vec<T>>(out) }
 }
 
-/// Overwrite `out[i] = f(i)` in parallel.
-pub fn par_fill<T, F>(out: &mut [T], grain: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let ptr = SyncMutPtr::new(out);
-    par_for_range(out.len(), grain, |r| {
-        for i in r {
-            // SAFETY: disjoint chunk writes; old value is dropped.
-            unsafe { *ptr.slice_mut(i, 1).get_unchecked_mut(0) = f(i) };
-        }
-    });
-}
-
 /// Parallel reduction over `0..n` with an associative `combine` and
 /// identity `id`. Each chunk folds sequentially; chunk results are combined
 /// in submission order, so non-commutative (but associative) operations are
@@ -101,25 +86,6 @@ where
         .into_iter()
         .map(|p| p.expect("all chunks completed"))
         .fold(id, &combine)
-}
-
-/// Parallel reduction for commutative monoids — same as [`reduce`], kept as
-/// a distinct name so call sites document their requirement.
-pub fn reduce_commutative<T, M, C>(n: usize, grain: usize, id: T, map: M, combine: C) -> T
-where
-    T: Send + Sync + Clone,
-    M: Fn(usize) -> T + Sync,
-    C: Fn(T, T) -> T + Sync + Send,
-{
-    reduce(n, grain, id, map, combine)
-}
-
-/// Sum `f(i)` over `0..n` as u64.
-pub fn sum_u64<F>(n: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    reduce(n, DEFAULT_GRAIN, 0u64, f, |a, b| a + b)
 }
 
 /// Max of `f(i)` over `0..n` (returns `id` for empty input).
@@ -166,15 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn par_fill_overwrites() {
-        let mut v = vec![0usize; 257];
-        par_fill(&mut v, 16, |i| i + 1);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
-    }
-
-    #[test]
     fn reduce_sum_and_max() {
-        assert_eq!(sum_u64(1000, |i| i as u64), 999 * 1000 / 2);
         assert_eq!(max_u64(1000, 0, |i| (i as u64 * 37) % 991), 990);
         assert_eq!(max_u64(0, 7, |_| 100), 7);
     }

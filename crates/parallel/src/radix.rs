@@ -71,11 +71,6 @@ where
     }
 }
 
-/// Stable sort of `(key, payload)` pairs by key ascending.
-pub fn par_radix_sort_pairs(data: &mut [(u64, u32)]) {
-    par_radix_sort_by_key(data, |p| p.0, None);
-}
-
 fn radix_pass<T, K>(
     src: &[T],
     dst: &mut [T],
@@ -134,7 +129,7 @@ mod tests {
     fn sorts_random_u64() {
         let mut got: Vec<(u64, u32)> = (0..200_000).map(|i| (hash64(i as u64), i as u32)).collect();
         let mut want = got.clone();
-        par_radix_sort_pairs(&mut got);
+        par_radix_sort_by_key(&mut got, |p| p.0, None);
         want.sort_by_key(|p| p.0);
         assert_eq!(got, want);
     }
@@ -144,7 +139,7 @@ mod tests {
         // Few distinct keys; payload = original position.
         let mut got: Vec<(u64, u32)> = (0..300_000u32).map(|i| ((i as u64) % 5, i)).collect();
         let mut want = got.clone();
-        par_radix_sort_pairs(&mut got);
+        par_radix_sort_by_key(&mut got, |p| p.0, None);
         want.sort_by_key(|p| p.0); // std stable sort
         assert_eq!(got, want);
     }
@@ -156,7 +151,7 @@ mod tests {
             .map(|i| (hash64(i as u64) % 250, i))
             .collect();
         let mut want = got.clone();
-        par_radix_sort_pairs(&mut got);
+        par_radix_sort_by_key(&mut got, |p| p.0, None);
         want.sort_by_key(|p| p.0);
         assert_eq!(got, want);
     }
@@ -185,10 +180,10 @@ mod tests {
     #[test]
     fn empty_and_tiny() {
         let mut empty: Vec<(u64, u32)> = vec![];
-        par_radix_sort_pairs(&mut empty);
+        par_radix_sort_by_key(&mut empty, |p| p.0, None);
         assert!(empty.is_empty());
         let mut one = vec![(9u64, 1u32)];
-        par_radix_sort_pairs(&mut one);
+        par_radix_sort_by_key(&mut one, |p| p.0, None);
         assert_eq!(one, vec![(9, 1)]);
     }
 
@@ -196,7 +191,7 @@ mod tests {
     fn all_equal_keys() {
         let mut got: Vec<(u64, u32)> = (0..100_000u32).map(|i| (7u64, i)).collect();
         let want = got.clone();
-        par_radix_sort_pairs(&mut got);
+        par_radix_sort_by_key(&mut got, |p| p.0, None);
         assert_eq!(got, want); // stability: order unchanged
     }
 

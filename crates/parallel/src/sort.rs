@@ -18,31 +18,18 @@ where
     T: Copy + Send + Sync,
     C: Fn(&T, &T) -> Ordering + Sync,
 {
-    par_merge_sort(data, &cmp, false);
-}
-
-/// Parallel stable sort by comparator.
-pub fn par_sort_by<T, C>(data: &mut [T], cmp: C)
-where
-    T: Copy + Send + Sync,
-    C: Fn(&T, &T) -> Ordering + Sync,
-{
-    par_merge_sort(data, &cmp, true);
+    par_merge_sort(data, &cmp);
 }
 
 #[allow(clippy::uninit_vec)]
-fn par_merge_sort<T, C>(data: &mut [T], cmp: &C, stable: bool)
+fn par_merge_sort<T, C>(data: &mut [T], cmp: &C)
 where
     T: Copy + Send + Sync,
     C: Fn(&T, &T) -> Ordering + Sync,
 {
     let n = data.len();
     if n <= SEQ_SORT_THRESHOLD {
-        if stable {
-            data.sort_by(|a, b| cmp(a, b));
-        } else {
-            data.sort_unstable_by(|a, b| cmp(a, b));
-        }
+        data.sort_unstable_by(|a, b| cmp(a, b));
         return;
     }
     let threads = crate::pool::num_threads();
@@ -59,11 +46,7 @@ where
             if start < end {
                 // SAFETY: run ranges are disjoint and in bounds.
                 let run = unsafe { ptr.slice_mut(start, end - start) };
-                if stable {
-                    run.sort_by(|a, b| cmp(a, b));
-                } else {
-                    run.sort_unstable_by(|a, b| cmp(a, b));
-                }
+                run.sort_unstable_by(|a, b| cmp(a, b));
             }
         });
     }
@@ -229,19 +212,6 @@ mod tests {
         let mut want = got.clone();
         par_sort_unstable_by(&mut got, |a, b| b.cmp(a));
         want.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn stable_sort_preserves_order_of_ties() {
-        // Key has few distinct values; payload records original index.
-        let n = 200_000;
-        let mut got: Vec<(u8, u32)> = (0..n)
-            .map(|i| ((i as u64 * 131 % 7) as u8, i as u32))
-            .collect();
-        let mut want = got.clone();
-        par_sort_by(&mut got, |a, b| a.0.cmp(&b.0));
-        want.sort_by_key(|a| a.0);
         assert_eq!(got, want);
     }
 

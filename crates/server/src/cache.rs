@@ -207,13 +207,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         self.shards.iter().map(|s| Self::lock(s).capacity).sum()
     }
 
-    /// Drop every cached entry.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            Self::lock(shard).clear();
-        }
-    }
-
     /// Rewrite every key through `f`: entries mapped to `Some(new_key)`
     /// survive under the new key, entries mapped to `None` are dropped.
     /// Returns `(dropped, kept)`.
@@ -365,8 +358,9 @@ mod tests {
         for k in 0..16 {
             cache.insert(k, k);
         }
-        assert!(!cache.is_empty());
-        cache.clear();
+        let held = cache.len();
+        assert!(held > 0);
+        assert_eq!(cache.rekey(|_| None), (held, 0));
         assert!(cache.is_empty());
         assert_eq!(cache.get(&3), None);
         // Still usable after clear.

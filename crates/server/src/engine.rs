@@ -625,13 +625,13 @@ impl QueryEngine {
     }
 
     /// Modularity-scored sweep over the (μ, ε) grid with the given ε
-    /// step, returning the best parameters. The grid is the core crate's
-    /// [`SweepGrid`](parscan_core::SweepGrid) μ-doubling (one grid definition shared with
-    /// `parscan sweep`). Grid points run through the cache only when the
-    /// whole grid fits in half its capacity — a full sweep through a
-    /// small cache would evict every hot entry other sessions rely on —
-    /// so "repeated sweeps are hits" holds exactly when caching them is
-    /// harmless. The whole grid runs against one snapshot, and its
+    /// step, returning the best parameters. The grid is
+    /// [`SweepGrid::stepped`](parscan_core::SweepGrid::stepped), the one
+    /// grid definition shared with `parscan sweep`. Grid points run
+    /// through the cache only when the whole grid fits in half its
+    /// capacity — a full sweep through a small cache would evict every
+    /// hot entry other sessions rely on — so "repeated sweeps are hits"
+    /// holds exactly when caching them is harmless. The whole grid runs against one snapshot, and its
     /// queries never move the client-facing request/hit/miss counters
     /// (only `compute_micros`).
     ///
@@ -644,18 +644,7 @@ impl QueryEngine {
         }
         let published = self.published();
         let g = published.index.graph();
-        let max_mu = (g.max_degree() as u32 + 1).max(2);
-        // Exact multiples (not repeated addition, which drifts in f32) so
-        // the grid matches what SweepGrid-based callers evaluate.
-        let epsilons: Vec<f32> = (1..)
-            .map(|i| i as f32 * eps_step)
-            .take_while(|&e| e < 1.0)
-            .collect();
-        let grid = parscan_core::SweepGrid {
-            mus: parscan_core::SweepGrid::paper_sigma(max_mu).mus,
-            epsilons,
-        };
-        let points = grid.points();
+        let points = parscan_core::SweepGrid::stepped(g.max_degree() as u32 + 1, eps_step).points();
         let use_cache = points.len() <= self.cache.capacity() / 2;
         let mut best: Option<SweepBest> = None;
         for params in points {
@@ -703,11 +692,6 @@ impl QueryEngine {
             cache_invalidated: self.counters.cache_invalidated.load(Ordering::Relaxed),
             cache_retained: self.counters.cache_retained.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drop every cached clustering (counters are preserved).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
     }
 }
 
@@ -830,6 +814,30 @@ mod tests {
     }
 
     #[test]
+    fn sweep_best_matches_the_core_sweep_on_the_stepped_grid() {
+        let e = engine(512);
+        let index = e.index();
+        let g = index.graph();
+        let grid = parscan_core::SweepGrid::stepped(g.max_degree() as u32 + 1, 0.05);
+        let result = parscan_core::sweep::sweep(&index, &grid, |c| {
+            if c.num_clusters() == 0 {
+                f64::NEG_INFINITY
+            } else {
+                parscan_metrics::modularity(g, &c.labels_with_singletons())
+            }
+        });
+        let best = e.sweep_best(0.05).expect("planted graph has structure");
+        assert_eq!(
+            (best.mu, best.epsilon, best.modularity),
+            (
+                result.best_params().mu,
+                result.best_params().epsilon,
+                result.best_score()
+            )
+        );
+    }
+
+    #[test]
     fn counters_reconcile_after_mixed_traffic() {
         // `cluster_requests == cache_hits + cache_misses` must survive
         // sweeps: internal grid queries are not client traffic.
@@ -944,8 +952,6 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_hits, 2);
         assert!(s.hit_rate() > 0.6);
-        e.clear_cache();
-        assert_eq!(e.stats().cache_len, 0);
     }
 
     /// An engine whose invalidation frontier is analytically known: a K4

@@ -673,21 +673,14 @@ impl GraphRegistry {
 
 /// Read a graph or persisted index from a server-local file, for
 /// [`GraphRegistry::load`]. The file type is detected by extension:
-/// `.pscidx` (persisted index), `.bin` (parscan binary graph),
-/// `.graph`/`.metis` (METIS), anything else a whitespace edge list.
-/// Graph files are indexed with [`IndexConfig::default`].
+/// `.pscidx` (persisted index), otherwise a graph file read by
+/// [`parscan_graph::io::read_graph`] and indexed with
+/// [`IndexConfig::default`].
 pub fn build_index_from_path(path: &str) -> Result<ScanIndex, String> {
     if path.ends_with(".pscidx") {
         return ScanIndex::load(path).map_err(|e| format!("cannot load index {path}: {e}"));
     }
-    let load = if path.ends_with(".bin") {
-        parscan_graph::io::read_binary(path)
-    } else if path.ends_with(".graph") || path.ends_with(".metis") {
-        parscan_graph::metis::read_metis(path)
-    } else {
-        parscan_graph::io::read_edge_list_text(path, None)
-    };
-    let g = load.map_err(|e| format!("cannot read {path}: {e}"))?;
+    let g = parscan_graph::io::read_graph(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     Ok(ScanIndex::build(g, IndexConfig::default()))
 }
 

@@ -25,4 +25,4 @@ mod store;
 
 pub use audit::{AuditEvent, AuditKind, AuditLog};
 pub use manifest::ManifestEntry;
-pub use store::{IndexStore, StoreConfig};
+pub use store::IndexStore;

@@ -28,22 +28,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Store tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct StoreConfig {
-    /// Audit-log size cap before rotation.
-    pub audit_max_bytes: u64,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            // Generous for a text log of one line per state change; a
-            // rotation pair bounds disk use at ~8 MiB per store.
-            audit_max_bytes: 4 << 20,
-        }
-    }
-}
+/// Audit-log size cap before rotation. Generous for a text log of one
+/// line per state change; a rotation pair bounds disk use at ~8 MiB per
+/// store.
+const AUDIT_MAX_BYTES: u64 = 4 << 20;
 
 /// A durable index store rooted at one directory. Cheap to share behind
 /// an `Arc`; interior mutability makes every method `&self`.
@@ -94,22 +82,17 @@ fn validate_name(name: &str) -> io::Result<()> {
 }
 
 impl IndexStore {
-    /// Open (or initialize) the store at `dir` with default config.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<IndexStore> {
-        IndexStore::open_with(dir, StoreConfig::default())
-    }
-
     /// Open (or initialize) the store at `dir`. Creates the directory
     /// tree on first use; reads the manifest (a corrupted manifest is a
     /// typed error — better to refuse to boot than to silently forget
     /// the working set) and recovers the audit sequence.
-    pub fn open_with(dir: impl Into<PathBuf>, config: StoreConfig) -> io::Result<IndexStore> {
+    pub fn open(dir: impl Into<PathBuf>) -> io::Result<IndexStore> {
         let dir = dir.into();
         std::fs::create_dir_all(dir.join("snapshots"))?;
         let manifest_path = dir.join("manifest.psm");
         let audit_path = dir.join("audit.log");
         let entries = manifest::read(&manifest_path)?;
-        let audit = AuditLog::open(&audit_path, config.audit_max_bytes)?;
+        let audit = AuditLog::open(&audit_path, AUDIT_MAX_BYTES)?;
         Ok(IndexStore {
             dir,
             manifest_path,

@@ -46,7 +46,7 @@ fn main() {
     );
 
     // A quality sweep against the reloaded index (the intended workflow).
-    let grid = SweepGrid::coarse(loaded.graph().max_degree() as u32 + 1);
+    let grid = SweepGrid::stepped(loaded.graph().max_degree() as u32 + 1, 0.05);
     let t0 = Instant::now();
     let result = sweep(&loaded, &grid, |c| {
         if c.num_clusters() == 0 {

@@ -105,25 +105,11 @@ fn parse<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>,
 }
 
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
-    let load = if path.ends_with(".bin") {
-        parscan::graph::io::read_binary(path)
-    } else if path.ends_with(".graph") || path.ends_with(".metis") {
-        parscan::graph::metis::read_metis(path)
-    } else {
-        parscan::graph::io::read_edge_list_text(path, None)
-    };
-    load.map_err(|e| format!("cannot read {path}: {e}"))
+    parscan::graph::io::read_graph(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn write_graph(g: &CsrGraph, path: &str) -> Result<(), String> {
-    let write = if path.ends_with(".bin") {
-        parscan::graph::io::write_binary(g, path)
-    } else if path.ends_with(".graph") || path.ends_with(".metis") {
-        parscan::graph::metis::write_metis(g, path)
-    } else {
-        parscan::graph::io::write_edge_list_text(g, path)
-    };
-    write.map_err(|e| format!("cannot write {path}: {e}"))
+    parscan::graph::io::write_graph(g, path).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Build an index per the shared `--jaccard` / `--approx` flags.
@@ -241,17 +227,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let index = load_or_build_index(path, args)?;
     let g = index.graph();
 
-    let max_mu = (g.max_degree() as u32 + 1).max(2);
-    let mut epsilons = Vec::new();
-    let mut eps = step;
-    while eps < 1.0 {
-        epsilons.push(eps);
-        eps += step;
-    }
-    let grid = SweepGrid {
-        mus: SweepGrid::paper_sigma(max_mu).mus,
-        epsilons,
-    };
+    let grid = SweepGrid::stepped(g.max_degree() as u32 + 1, step);
     let result = sweep(&index, &grid, |c| {
         if c.num_clusters() == 0 {
             f64::NEG_INFINITY

@@ -25,7 +25,7 @@ fn save_load_query_pipeline() {
     // Pick (μ, ε) the way the paper does (§7.3.4): best grid modularity —
     // hardcoded parameters are brittle against the generator's similarity
     // scale.
-    let grid = SweepGrid::coarse(loaded.graph().max_degree() as u32 + 1);
+    let grid = SweepGrid::stepped(loaded.graph().max_degree() as u32 + 1, 0.05);
     let score = |c: &parscan::core::Clustering| {
         if c.num_clusters() == 0 {
             f64::NEG_INFINITY
@@ -112,7 +112,7 @@ fn format_conversion_preserves_clusterings() {
 fn sweep_engine_beats_fixed_parameters_on_planted_graphs() {
     let (g, truth) = parscan::graph::generators::planted_partition(800, 8, 14.0, 1.0, 5);
     let index = ScanIndex::build(g, IndexConfig::default());
-    let grid = SweepGrid::coarse(index.graph().max_degree() as u32 + 1);
+    let grid = SweepGrid::stepped(index.graph().max_degree() as u32 + 1, 0.05);
     let (result, best) = sweep_with_best(&index, &grid, |c| {
         if c.num_clusters() == 0 {
             f64::NEG_INFINITY

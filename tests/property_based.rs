@@ -4,7 +4,7 @@
 
 use parscan::baselines::original_scan;
 use parscan::core::similarity_exact::{
-    compute_full_merge, compute_hash_based, compute_merge_based, compute_merge_based_atomic,
+    compute_full_merge, compute_hash_based, compute_merge_based,
 };
 use parscan::prelude::*;
 use proptest::prelude::*;
@@ -27,10 +27,8 @@ proptest! {
             let full = compute_full_merge(&g, measure);
             let merge = compute_merge_based(&g, measure);
             let hash = compute_hash_based(&g, measure);
-            let atomic = compute_merge_based_atomic(&g, measure);
             prop_assert_eq!(full.as_slice(), merge.as_slice());
             prop_assert_eq!(full.as_slice(), hash.as_slice());
-            prop_assert_eq!(full.as_slice(), atomic.as_slice());
         }
     }
 
