@@ -27,25 +27,34 @@ pub struct Clustering {
     pub labels: Vec<u32>,
     pub core: Vec<bool>,
     num_clusters: usize,
+    num_clustered: usize,
 }
 
 impl Clustering {
-    /// Wrap label/core arrays, counting clusters. A cluster's
-    /// representative is always its minimum core id, so the cluster count
-    /// is the number of vertices labeled by themselves.
+    /// Wrap label/core arrays, counting clusters and clustered vertices
+    /// in one pass. A cluster's representative is always its minimum
+    /// core id, so the cluster count is the number of vertices labeled by
+    /// themselves.
     pub fn new(labels: Vec<u32>, core: Vec<bool>) -> Self {
         assert_eq!(labels.len(), core.len());
-        let num_clusters = parscan_parallel::primitives::reduce(
+        let (num_clusters, num_clustered) = parscan_parallel::primitives::reduce(
             labels.len(),
             8192,
-            0usize,
-            |v| usize::from(labels[v] == v as u32),
-            |a, b| a + b,
+            (0usize, 0usize),
+            |v| {
+                let label = labels[v];
+                (
+                    usize::from(label == v as u32),
+                    usize::from(label != UNCLUSTERED),
+                )
+            },
+            |a, b| (a.0 + b.0, a.1 + b.1),
         );
         Clustering {
             labels,
             core,
             num_clusters,
+            num_clustered,
         }
     }
 
@@ -70,14 +79,9 @@ impl Clustering {
     }
 
     /// Number of clustered vertices.
+    #[inline]
     pub fn num_clustered(&self) -> usize {
-        parscan_parallel::primitives::reduce(
-            self.labels.len(),
-            8192,
-            0usize,
-            |v| usize::from(self.labels[v] != UNCLUSTERED),
-            |a, b| a + b,
-        )
+        self.num_clustered
     }
 
     /// Members of every cluster, keyed by representative label.
@@ -176,5 +180,43 @@ mod tests {
         let c = Clustering::new(vec![], vec![]);
         assert_eq!(c.num_clusters(), 0);
         assert_eq!(c.num_clustered(), 0);
+    }
+
+    #[test]
+    fn stored_counts_match_a_sequential_recount_across_reduce_chunks() {
+        // Lengths straddle the 8192-label chunks of the counting reduce.
+        for n in [0usize, 1, 8191, 8192, 8193, 3 * 8192 + 17] {
+            // A fixed scramble decides each vertex's kind: a cluster
+            // representative (labelled by itself), a member of the most
+            // recent representative, or unclustered.
+            let mut rep = None;
+            let labels: Vec<u32> = (0..n as u32)
+                .map(|v| match (v.wrapping_mul(2_654_435_761) >> 7) % 7 {
+                    0 | 1 => {
+                        rep = Some(v);
+                        v
+                    }
+                    2 => UNCLUSTERED,
+                    _ => rep.unwrap_or(UNCLUSTERED),
+                })
+                .collect();
+            let core = labels
+                .iter()
+                .enumerate()
+                .map(|(v, &l)| l == v as u32)
+                .collect();
+            let clusters = labels
+                .iter()
+                .enumerate()
+                .filter(|&(v, &l)| l == v as u32)
+                .count();
+            let clustered = labels.iter().filter(|&&l| l != UNCLUSTERED).count();
+            if n > 8192 {
+                assert!(clusters > 0 && clustered > clusters && clustered < n);
+            }
+            let c = Clustering::new(labels, core);
+            assert_eq!(c.num_clusters(), clusters, "n = {n}");
+            assert_eq!(c.num_clustered(), clustered, "n = {n}");
+        }
     }
 }

@@ -400,45 +400,65 @@ impl QueryEngine {
         }
     }
 
-    /// The one clustering path behind both adapters. Counts the request,
-    /// then probes the cache; only a miss touches the in-flight table,
-    /// which re-probes under its lock (a leader publishes to the cache
-    /// before deregistering, so a miss there with no registered cell
-    /// proves nobody is, or was just, computing this key). The caller
-    /// then leads the computation or follows the one already running.
+    /// The cache-only half of [`Self::lookup`]: answer `params` if its
+    /// key is cached, counting one request and one hit; on a miss count
+    /// nothing and return `None`. O(1) whatever the graph size, which is
+    /// why the reactor may call it on its own thread
+    /// ([`answer_now`](crate::server::answer_now)).
+    pub(crate) fn cached(&self, params: QueryParams) -> Option<ClusterOutcome> {
+        self.hit(&Query::new(self.published(), params))
+    }
+
+    fn hit(&self, query: &Query) -> Option<ClusterOutcome> {
+        let clustering = self.cache.get(&query.key)?;
+        self.counters
+            .cluster_requests
+            .fetch_add(1, Ordering::Relaxed);
+        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        Some(query.outcome(clustering, true, false))
+    }
+
+    /// The one clustering path behind both adapters. Starts with the
+    /// cache-only probe ([`Self::cached`]); only a miss counts the
+    /// request here and touches the in-flight table, which re-probes
+    /// under its lock (a leader publishes to the cache before
+    /// deregistering, so a miss there with no registered cell proves
+    /// nobody is, or was just, computing this key). The caller then
+    /// leads the computation or follows the one already running.
     ///
     /// Ledger: every request is a hit or a miss once settled, so
     /// `cluster_requests == cache_hits + cache_misses` holds — except
     /// for a leader whose computation panics, which counts only in
     /// `cluster_requests`.
     fn lookup(&self, params: QueryParams) -> Lookup {
+        let query = Query::new(self.published(), params);
+        if let Some(outcome) = self.hit(&query) {
+            return Lookup::Done(outcome);
+        }
         self.counters
             .cluster_requests
             .fetch_add(1, Ordering::Relaxed);
-        let query = Query::new(self.published(), params);
-        let entry = match self.cache.get(&query.key) {
-            Some(hit) => Ok(hit),
-            // Pool workers must never block on another thread's
-            // computation: the leader may itself need the (single,
-            // global) pool for its query phases, and a worker parked on
-            // a follower cell stalls its whole job — a circular wait
-            // that would hang every query in the process. Workers
-            // therefore compute directly: a rare duplicate computation
-            // instead of a possible deadlock.
-            None if parscan_parallel::pool::in_pool() => Err(None),
-            None => self
+        // Pool workers must never block on another thread's computation:
+        // the leader may itself need the (single, global) pool for its
+        // query phases, and a worker parked on a follower cell stalls its
+        // whole job — a circular wait that would hang every query in the
+        // process. Workers therefore compute directly: a rare duplicate
+        // computation instead of a possible deadlock.
+        let guard = if parscan_parallel::pool::in_pool() {
+            None
+        } else {
+            match self
                 .inflight
                 .enter_with(query.key, || self.cache.get(&query.key))
-                .map_err(Some),
-        };
-        let guard = match entry {
-            Ok(hit) => {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Done(query.outcome(hit, true, false));
+            {
+                // Published between the probe and the table lock.
+                Ok(hit) => {
+                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    return Lookup::Done(query.outcome(hit, true, false));
+                }
+                Err(Entry::Follower(cell)) => return Lookup::Follow(cell, query),
+                Err(Entry::Leader(guard)) => Some(guard),
             }
-            Err(Some(Entry::Follower(cell))) => return Lookup::Follow(cell, query),
-            Err(Some(Entry::Leader(guard))) => Some(guard),
-            Err(None) => None,
         };
         // Lead: compute, publish to the cache, then deregister and wake
         // followers through the guard, which cancels the cell instead if
@@ -771,6 +791,38 @@ mod tests {
         assert!(Arc::ptr_eq(&cold.clustering, &hot.clustering));
         let direct = e.index().cluster_with(p, BorderAssignment::MostSimilar);
         assert_eq!(*cold.clustering, direct);
+    }
+
+    #[test]
+    fn cache_only_probe_counts_a_request_only_when_it_hits() {
+        let e = engine(16);
+        let p = QueryParams::new(3, 0.4);
+        let before = e.stats();
+        assert!(e.cached(p).is_none());
+        assert_eq!(e.stats(), before, "a miss counts nothing");
+
+        let cold = e.cluster(p);
+        let before = e.stats();
+        let hit = e.cached(p).expect("cached after the miss");
+        assert!(hit.cached && !hit.coalesced);
+        assert!(Arc::ptr_eq(&hit.clustering, &cold.clustering));
+        assert_eq!(
+            (hit.eps_class, hit.eps_snapped, hit.epoch),
+            (cold.eps_class, cold.eps_snapped, cold.epoch)
+        );
+        let after = e.stats();
+        assert_eq!(after.cluster_requests, before.cluster_requests + 1);
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
+        let unchanged = EngineStats {
+            cluster_requests: before.cluster_requests,
+            cache_hits: before.cache_hits,
+            ..after
+        };
+        assert_eq!(unchanged, before, "a hit moves only requests and hits");
+        assert_eq!(
+            after.cluster_requests,
+            after.cache_hits + after.cache_misses
+        );
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! - [`serve`] ([`server`]): a line/JSON protocol ([`protocol`]) over
 //!   `std::net::TcpListener` — a readiness-polled reactor multiplexes
 //!   every connection on one thread (10k+ idle sessions in a bounded
-//!   thread count) and a small worker pool hands each request to one
-//!   dispatcher, with admission control that sheds load past
+//!   thread count) and answers `PING` and cached `CLUSTER` itself, a
+//!   small worker pool hands every other request to one dispatcher,
+//!   with admission control that sheds load past
 //!   [`ServeConfig`] bounds, an optional durable store, graceful
 //!   shutdown that flushes in-flight responses, and
 //!   request/latency/hit-rate counters ([`EngineStats`],

@@ -152,6 +152,40 @@ fn parse_edge_token(tok: &str, allow_weight: bool) -> Result<(u32, u32, f32), St
     Ok((u, v, w))
 }
 
+/// Split the leading `BATCH` verbs off one (already trimmed) batch
+/// piece: whether there were any, and the text after the last of them
+/// (`None` when nothing follows it), whose verb is never `BATCH`.
+fn peel_nested_batches(mut piece: &str) -> (bool, Option<&str>) {
+    let mut nested = false;
+    while piece
+        .split_whitespace()
+        .next()
+        .is_some_and(|verb| verb.eq_ignore_ascii_case("BATCH"))
+    {
+        nested = true;
+        match piece.split_once(char::is_whitespace) {
+            Some((_, rest)) => piece = rest.trim(),
+            None => return (true, None),
+        }
+    }
+    (nested, Some(piece))
+}
+
+/// Accept a (non-`BATCH`) request as one `BATCH` sub-request, which
+/// must be read-only and neither end the session nor touch the registry.
+fn batchable(request: Request) -> Result<Request, String> {
+    match request {
+        Request::Quit | Request::Shutdown => Err("QUIT/SHUTDOWN cannot appear in a BATCH".into()),
+        Request::Load { .. } | Request::Unload { .. } | Request::Save { .. } => {
+            Err("LOAD/UNLOAD/SAVE cannot appear in a BATCH".into())
+        }
+        Request::Apply { .. } => {
+            Err("INSERT/DELETE/APPLY cannot appear in a BATCH (batches are read-only)".into())
+        }
+        other => Ok(other),
+    }
+}
+
 /// Parse one request line. A leading `@name` token addresses a named
 /// graph (valid on `CLUSTER`/`PROBE`/`SWEEP`/`STATS`). `BATCH` splits
 /// on `;` and parses each piece as a simple (non-batch, non-mutating)
@@ -335,23 +369,18 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         "BATCH too large (max {MAX_BATCH_COMMANDS} commands)"
                     ));
                 }
-                let req = parse_request(piece)?;
-                match req {
-                    Request::Batch(_) => return Err("nested BATCH is not allowed".into()),
-                    Request::Quit | Request::Shutdown => {
-                        return Err("QUIT/SHUTDOWN cannot appear in a BATCH".into())
-                    }
-                    Request::Load { .. } | Request::Unload { .. } | Request::Save { .. } => {
-                        return Err("LOAD/UNLOAD/SAVE cannot appear in a BATCH".into())
-                    }
-                    Request::Apply { .. } => {
-                        return Err(
-                            "INSERT/DELETE/APPLY cannot appear in a BATCH (batches are read-only)"
-                                .into(),
-                        )
-                    }
-                    other => inner.push(other),
+                // A nested BATCH is refused with the innermost error its
+                // pieces produce. Peeling the nested verbs in a loop finds
+                // that error without one recursive call per level, which a
+                // 64 KiB line of `BATCH BATCH …` would turn into a stack
+                // overflow on the parsing thread.
+                let (nested, piece) = peel_nested_batches(piece);
+                let piece = piece.ok_or("BATCH needs at least one command")?;
+                let req = batchable(parse_request(piece)?)?;
+                if nested {
+                    return Err("nested BATCH is not allowed".into());
                 }
+                inner.push(req);
             }
             if inner.is_empty() {
                 return Err("BATCH needs at least one command".into());
@@ -540,6 +569,22 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Append `v` in decimal, writing the digits straight into `out` (a
+/// `FULL` render writes one id per vertex, so a `String` per id adds up).
+fn push_decimal(out: &mut String, mut v: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
 /// Render a label array: `UNCLUSTERED` becomes `-1`.
 fn json_labels(c: &Clustering) -> String {
     let mut out = String::with_capacity(4 * c.labels.len() + 2);
@@ -551,7 +596,7 @@ fn json_labels(c: &Clustering) -> String {
         if l == UNCLUSTERED {
             out.push_str("-1");
         } else {
-            out.push_str(&l.to_string());
+            push_decimal(&mut out, l as usize);
         }
     }
     out.push(']');
@@ -567,7 +612,7 @@ fn json_core_ids(c: &Clustering) -> String {
                 out.push(',');
             }
             first = false;
-            out.push_str(&v.to_string());
+            push_decimal(&mut out, v);
         }
     }
     out.push(']');
@@ -1173,6 +1218,36 @@ mod tests {
     }
 
     #[test]
+    fn nested_batches_report_the_innermost_error_at_any_depth() {
+        let err = |line: &str| parse_request(line).unwrap_err();
+        assert_eq!(err("BATCH BATCH PING"), "nested BATCH is not allowed");
+        assert_eq!(
+            err("BATCH PING ; batch  BATCH LIST"),
+            "nested BATCH is not allowed"
+        );
+        assert_eq!(err("BATCH BATCH"), "BATCH needs at least one command");
+        assert_eq!(err("BATCH BATCH BATCH FOO"), r#"unknown command "FOO""#);
+        assert_eq!(
+            err("BATCH BATCH QUIT"),
+            "QUIT/SHUTDOWN cannot appear in a BATCH"
+        );
+        assert_eq!(
+            err("BATCH BATCH @g BATCH PING"),
+            "BATCH does not take a @graph address"
+        );
+        // A whole request line of nested verbs parses in constant stack
+        // depth: here on a thread with a 64 KiB stack.
+        let deep = format!("{}PING", "BATCH ".repeat(crate::conn::MAX_LINE_BYTES / 6));
+        let message = std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(move || parse_request(&deep).unwrap_err())
+            .expect("spawn")
+            .join()
+            .expect("parse without overflowing");
+        assert_eq!(message, "nested BATCH is not allowed");
+    }
+
+    #[test]
     fn json_rendering_is_well_formed() {
         assert_eq!(Response::Pong.render_json(), r#"{"ok":true,"op":"pong"}"#);
         let err = Response::Error {
@@ -1196,6 +1271,18 @@ mod tests {
         let c = Clustering::new(vec![0, 0, UNCLUSTERED, 3], vec![true, false, false, true]);
         assert_eq!(json_labels(&c), "[0,0,-1,3]");
         assert_eq!(json_core_ids(&c), "[0,3]");
+    }
+
+    #[test]
+    fn decimal_digits_match_display() {
+        let mut out = String::new();
+        let values = [0usize, 7, 9, 10, 99, 100, 4_294_967_294, usize::MAX];
+        for v in values {
+            push_decimal(&mut out, v);
+            out.push(',');
+        }
+        let want: String = values.iter().map(|v| format!("{v},")).collect();
+        assert_eq!(out, want);
     }
 
     #[test]

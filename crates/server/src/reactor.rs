@@ -12,12 +12,17 @@
 //! ## Division of labor
 //!
 //! - **Reactor thread** (`parscan-serve-reactor`): accepts, reads,
-//!   frames, writes, and enforces admission control. It never executes a
-//!   request — the slowest thing it does is `memcpy`.
-//! - **Workers** (`parscan-serve-worker-N`): pop jobs from a bounded
-//!   queue, parse them, hand them to the server's one request
-//!   dispatcher, and push the rendered response onto the completion
-//!   queue, waking the reactor via its pipe-based [`Waker`]. Coalesced
+//!   frames, writes, enforces admission control, and parses each request
+//!   line once. It answers on its own thread only the requests whose
+//!   cost does not grow with the graph
+//!   ([`answer_now`](crate::server::answer_now)): `PING`, a non-`FULL`
+//!   `CLUSTER` whose key is already cached, and a line that fails to
+//!   parse. Sending those across two thread handoffs cost more than
+//!   answering them. Everything else goes to a worker.
+//! - **Workers** (`parscan-serve-worker-N`): pop parsed requests from a
+//!   bounded queue, hand them to the server's one request dispatcher,
+//!   and push the rendered response onto the completion queue, waking
+//!   the reactor via its pipe-based [`Waker`]. Coalesced
 //!   cluster/load computations hand their [`Responder`] to an in-flight
 //!   leader instead of blocking a worker
 //!   ([`QueryEngine::cluster_deferred`](crate::engine::QueryEngine::cluster_deferred),
@@ -28,8 +33,11 @@
 //! Three bounds shed load instead of queuing it unboundedly:
 //! connections past [`ServeConfig::max_connections`] are refused at
 //! accept with a `"op":"shed"` line; requests arriving while the worker
-//! queue holds [`ServeConfig::queue_limit`] entries are answered with
-//! the same typed response without ever reaching a worker; and a
+//! queue holds [`ServeConfig::queue_limit`] entries (or while every
+//! worker is stuck) are answered with the same typed response without
+//! ever reaching a worker — these checks run before the reactor answers
+//! anything itself, so a request is shed on the same terms whichever
+//! thread would have answered it; and a
 //! connection buffering more than [`MAX_OUTBOUND_BYTES`] of unread
 //! responses is killed (the peer stopped reading).
 //!
@@ -44,8 +52,8 @@
 //! slot's next tenant.
 
 use crate::conn::{ConnId, Connection, FillOutcome, InboxItem, MAX_LINE_BYTES};
-use crate::protocol::{parse_request, Response};
-use crate::server::{dispatch, Control, ServerShared};
+use crate::protocol::{parse_request, Request, Response};
+use crate::server::{answer_now, dispatch, Control, ServerShared};
 use netpoll::{Event, Interest, Poller, Waker};
 use parscan_store::IndexStore;
 use std::io::{ErrorKind, Write};
@@ -167,7 +175,7 @@ impl ReactorMetrics {
 /// One parsed request bound for the worker pool.
 pub(crate) struct Job {
     pub conn: ConnId,
-    pub line: String,
+    pub request: Request,
     /// The connection's request counter at submission (the protocol's
     /// `session_requests`). Also the per-connection sequence number that
     /// routes this job's completion: a completion at or below the
@@ -178,31 +186,25 @@ pub(crate) struct Job {
     pub deadline: Option<Instant>,
 }
 
-pub(crate) enum Push {
-    Queued,
-    /// At [`ServeConfig::queue_limit`]: shed this request.
-    Full,
-    /// Shutting down: drop this request silently.
-    Closed,
-}
-
 struct QueueState {
     jobs: std::collections::VecDeque<Job>,
     closed: bool,
 }
 
-/// The bounded reactor→worker queue. Its depth is the `queue_depth`
-/// STATS gauge, kept in an atomic so the stats path never takes the
-/// queue lock.
+/// The reactor→worker queue. Its depth is the `queue_depth` STATS
+/// gauge, kept in an atomic so the stats path never takes the queue
+/// lock. The reactor is its only producer and sheds instead of pushing
+/// while the depth is at [`ServeConfig::queue_limit`]; workers only
+/// shrink it, so the depth the reactor reads is never below the true
+/// length and the queue never grows past the limit.
 pub(crate) struct JobQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
     depth: AtomicU64,
-    limit: usize,
 }
 
 impl JobQueue {
-    pub fn new(limit: usize) -> JobQueue {
+    pub fn new() -> JobQueue {
         JobQueue {
             state: Mutex::new(QueueState {
                 jobs: std::collections::VecDeque::new(),
@@ -210,23 +212,21 @@ impl JobQueue {
             }),
             ready: Condvar::new(),
             depth: AtomicU64::new(0),
-            limit,
         }
     }
 
-    pub fn try_push(&self, job: Job) -> Push {
+    /// Queue `job`; `false` once the queue is closed (shutting down: the
+    /// request is dropped silently).
+    pub fn push(&self, job: Job) -> bool {
         let mut state = crate::lock_mutex(&self.state);
         if state.closed {
-            return Push::Closed;
-        }
-        if state.jobs.len() >= self.limit {
-            return Push::Full;
+            return false;
         }
         state.jobs.push_back(job);
         self.depth.store(state.jobs.len() as u64, Ordering::Relaxed);
         drop(state);
         self.ready.notify_one();
-        Push::Queued
+        true
     }
 
     /// Blocking pop; `None` once the queue is closed. Jobs queued but
@@ -426,14 +426,12 @@ fn worker_loop(
         // A panicking handler must not take the worker down with it; the
         // unwinding Responder converts the panic into an error response.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match parse_request(&job.line) {
-                Ok(request) => {
-                    dispatch(&shared, request, job.requests, move |response, control| {
-                        responder.send(&response, control)
-                    })
-                }
-                Err(message) => responder.send(&Response::Error { message }, Control::Continue),
-            }
+            dispatch(
+                &shared,
+                job.request,
+                job.requests,
+                move |response, control| responder.send(&response, control),
+            )
         }));
         watchdog.end(index);
     }
@@ -647,11 +645,12 @@ impl Reactor {
         self.pump(slot);
     }
 
-    /// Submit inbox items while the connection is idle, then flush and
-    /// settle interest. At most one request per connection is in flight
-    /// at a time; its completion re-enters here to submit the next —
-    /// which is what makes pipelined responses impossible to reorder or
-    /// misattribute.
+    /// Answer or submit inbox items while the connection is idle, then
+    /// flush and settle interest. At most one request per connection is
+    /// in flight at a time, and a request is answered on this thread only
+    /// while none is; an in-flight request's completion re-enters here to
+    /// take the next — which is what makes pipelined responses impossible
+    /// to reorder or misattribute.
     fn pump(&mut self, slot: usize) {
         loop {
             let item = {
@@ -673,14 +672,10 @@ impl Reactor {
                     let response = Response::Error {
                         message: format!("request exceeds {MAX_LINE_BYTES} bytes"),
                     };
-                    let payload = wire_line(&response);
-                    let conn = self.conn_mut(slot).expect("checked above");
-                    let queued = conn.queue_response(&payload, MAX_OUTBOUND_BYTES);
-                    conn.start_draining();
-                    if !queued {
-                        self.close(slot);
+                    if !self.respond(slot, &response) {
                         return;
                     }
+                    self.conn_mut(slot).expect("checked above").start_draining();
                     break;
                 }
                 Some(InboxItem::Line(line)) => {
@@ -690,23 +685,11 @@ impl Reactor {
                     // same typed response as a full queue.
                     let stuck = self.shared.metrics.stuck_workers.load(Ordering::Relaxed);
                     if stuck >= self.shared.metrics.workers && self.shared.metrics.workers > 0 {
-                        self.shared
-                            .metrics
-                            .shed_requests
-                            .fetch_add(1, Ordering::Relaxed);
-                        let response = Response::Shed {
-                            message: format!(
-                                "server overloaded: all {} workers stuck past the watchdog threshold",
-                                self.shared.metrics.workers
-                            ),
-                        };
-                        let payload = wire_line(&response);
-                        let queued = self
-                            .conn_mut(slot)
-                            .expect("checked above")
-                            .queue_response(&payload, MAX_OUTBOUND_BYTES);
-                        if !queued {
-                            self.close(slot);
+                        let message = format!(
+                            "server overloaded: all {} workers stuck past the watchdog threshold",
+                            self.shared.metrics.workers
+                        );
+                        if !self.shed(slot, message) {
                             return;
                         }
                         continue;
@@ -722,49 +705,74 @@ impl Reactor {
                             conn.requests,
                         )
                     };
-                    match self.shared.jobs.try_push(Job {
-                        conn: id,
-                        line,
-                        requests,
-                        deadline: self.config.deadline.map(|d| Instant::now() + d),
-                    }) {
-                        Push::Queued => {
-                            let conn = self.conn_mut(slot).expect("checked above");
-                            conn.busy = true;
-                            conn.inflight_since = Some(Instant::now());
-                            break;
+                    // Shed at submission: the connection is not busy, so
+                    // every prior response is already queued and ordering
+                    // holds. Keep popping — pipelined followers shed too.
+                    if self.shared.jobs.depth() >= self.shared.metrics.queue_limit {
+                        let message = format!(
+                            "server overloaded: pending request queue at limit ({})",
+                            self.config.queue_limit
+                        );
+                        if !self.shed(slot, message) {
+                            return;
                         }
-                        Push::Closed => break,
-                        Push::Full => {
-                            // Shed at submission: the connection is not
-                            // busy, so every prior response is already
-                            // queued and ordering holds. Keep popping —
-                            // pipelined followers shed too.
-                            self.shared
-                                .metrics
-                                .shed_requests
-                                .fetch_add(1, Ordering::Relaxed);
-                            let response = Response::Shed {
-                                message: format!(
-                                    "server overloaded: pending request queue at limit ({})",
-                                    self.config.queue_limit
-                                ),
-                            };
-                            let payload = wire_line(&response);
-                            let queued = self
-                                .conn_mut(slot)
-                                .expect("checked above")
-                                .queue_response(&payload, MAX_OUTBOUND_BYTES);
-                            if !queued {
-                                self.close(slot);
+                        continue;
+                    }
+                    let request = match parse_request(&line) {
+                        Ok(request) => request,
+                        Err(message) => {
+                            if !self.respond(slot, &Response::Error { message }) {
                                 return;
                             }
+                            continue;
                         }
+                    };
+                    if let Some(response) = answer_now(&self.shared, &request) {
+                        if !self.respond(slot, &response) {
+                            return;
+                        }
+                        continue;
                     }
+                    let queued = self.shared.jobs.push(Job {
+                        conn: id,
+                        request,
+                        requests,
+                        deadline: self.config.deadline.map(|d| Instant::now() + d),
+                    });
+                    if queued {
+                        let conn = self.conn_mut(slot).expect("checked above");
+                        conn.busy = true;
+                        conn.inflight_since = Some(Instant::now());
+                    }
+                    break;
                 }
             }
         }
         self.settle(slot);
+    }
+
+    /// Queue `response` on an idle connection as the answer to its
+    /// newest request. `false` means the connection was closed because
+    /// its peer stopped reading.
+    fn respond(&mut self, slot: usize, response: &Response) -> bool {
+        let payload = wire_line(response);
+        let queued = self
+            .conn_mut(slot)
+            .expect("pump checked the slot")
+            .queue_response(&payload, MAX_OUTBOUND_BYTES);
+        if !queued {
+            self.close(slot);
+        }
+        queued
+    }
+
+    /// Answer the connection's newest request with a typed shed.
+    fn shed(&mut self, slot: usize, message: String) -> bool {
+        self.shared
+            .metrics
+            .shed_requests
+            .fetch_add(1, Ordering::Relaxed);
+        self.respond(slot, &Response::Shed { message })
     }
 
     /// Flush opportunistically, close if finished, otherwise bring the

@@ -220,6 +220,10 @@ enum Slot {
     Loading(Arc<LoadCell>),
 }
 
+/// Graphs an admission evicted, by name, still owned so that they are
+/// freed only after the slots lock is released.
+type Evicted = Vec<(String, Slot)>;
+
 /// How a load attempt was classified against the slot map.
 enum RegisterLoad {
     /// Name already resident.
@@ -277,15 +281,17 @@ impl GraphRegistry {
         *lock_mutex(&self.evict_hook) = Some(hook);
     }
 
-    /// Report evictions to the hook, outside the slots lock.
-    fn notify_evicted(&self, victims: &[String]) {
+    /// Report evictions to the hook and free the evicted graphs, both
+    /// outside the slots lock: the reactor reads the slots on every
+    /// cached `CLUSTER`, and freeing a resident index takes milliseconds.
+    fn notify_evicted(&self, victims: Evicted) {
         if victims.is_empty() {
             return;
         }
         let hook = lock_mutex(&self.evict_hook);
         if let Some(hook) = hook.as_ref() {
-            for v in victims {
-                hook(v);
+            for (name, _) in &victims {
+                hook(name);
             }
         }
     }
@@ -344,7 +350,7 @@ impl GraphRegistry {
         let victims = self.admit_locked(&mut slots, &name, Arc::clone(&entry))?;
         self.counters.loads.fetch_add(1, Ordering::Relaxed);
         drop(slots);
-        self.notify_evicted(&victims);
+        self.notify_evicted(victims);
         Ok(Arc::clone(&entry.engine))
     }
 
@@ -361,14 +367,14 @@ impl GraphRegistry {
     /// Admit `entry` under `name`, evicting least-recently-used
     /// non-default graphs until both the byte budget and the graph-count
     /// budget hold. Caller holds the write lock and has verified the
-    /// name is free. Returns the evicted names; the caller reports them
-    /// via [`GraphRegistry::notify_evicted`] once the lock is released.
+    /// name is free. Returns the evicted graphs; the caller hands them
+    /// to [`GraphRegistry::notify_evicted`] once the lock is released.
     fn admit_locked(
         &self,
         slots: &mut HashMap<String, Slot>,
         name: &str,
         entry: Arc<GraphEntry>,
-    ) -> Result<Vec<String>, RegistryError> {
+    ) -> Result<Evicted, RegistryError> {
         let mut victims = Vec::new();
         let budget = self.config.byte_budget;
         if let Some(budget) = budget {
@@ -425,9 +431,9 @@ impl GraphRegistry {
                     }
                 });
             };
-            slots.remove(&victim);
+            let slot = slots.remove(&victim).expect("the victim is resident");
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            victims.push(victim);
+            victims.push((victim, slot));
         }
         slots.insert(name.to_string(), Slot::Ready(entry));
         Ok(victims)
@@ -558,7 +564,7 @@ impl GraphRegistry {
             done: false,
         };
 
-        let admit = |index: ScanIndex| -> Result<(Arc<GraphEntry>, Vec<String>), RegistryError> {
+        let admit = |index: ScanIndex| -> Result<(Arc<GraphEntry>, Evicted), RegistryError> {
             let entry = self.entry(index, engine_config);
             let mut slots = write_lock(&self.slots);
             // Our Loading marker holds the name; remove it and admit.
@@ -586,7 +592,7 @@ impl GraphRegistry {
             }
         };
         guard.publish(outcome.clone());
-        self.notify_evicted(&victims);
+        self.notify_evicted(victims);
         match outcome {
             Ok(entry) => {
                 self.counters.loads.fetch_add(1, Ordering::Relaxed);
@@ -608,7 +614,10 @@ impl GraphRegistry {
         match slots.get(name) {
             Some(Slot::Ready(entry)) => {
                 let bytes = entry.bytes;
-                slots.remove(name);
+                let removed = slots.remove(name);
+                drop(slots);
+                // Free the graph outside the lock (see `notify_evicted`).
+                drop(removed);
                 self.counters.unloads.fetch_add(1, Ordering::Relaxed);
                 Ok(bytes)
             }

@@ -1,13 +1,16 @@
 //! The TCP serving layer: a readiness-polled reactor (the private
-//! `reactor` module) multiplexes every connection on one thread, a small
-//! fixed worker pool executes parsed requests, and admission control
-//! sheds load past configured bounds instead of queuing it unboundedly.
+//! `reactor` module) multiplexes every connection on one thread and
+//! answers the requests whose cost does not grow with the graph
+//! (`answer_now`), a small fixed worker pool executes every other parsed
+//! request, and admission control sheds load past configured bounds
+//! instead of queuing it unboundedly.
 //!
 //! Requests are newline-terminated lines, each resolved against the
 //! shared [`GraphRegistry`] (the default graph unless the request
 //! carries an `@name` address) and answered with one JSON line. The
 //! per-connection state machine lives in the private `conn` module; this
-//! module owns the one request dispatcher (`dispatch`), server-wide
+//! module owns the one request dispatcher (`dispatch`), its reactor-side
+//! fast path (`answer_now`), server-wide
 //! state, and the [`serve`] entry point. `shutdown()` (or a client's
 //! `SHUTDOWN` command) flips the flag and wakes the reactor, which stops
 //! accepting, lets the in-flight request finish, flushes buffered
@@ -44,7 +47,7 @@ impl ServerShared {
             registry,
             store: config.store.clone(),
             shutdown: AtomicBool::new(false),
-            jobs: Arc::new(JobQueue::new(config.queue_limit)),
+            jobs: Arc::new(JobQueue::new()),
             metrics: ReactorMetrics::new(config.queue_limit, config.effective_workers()),
         }
     }
@@ -444,6 +447,34 @@ pub(crate) fn dispatch(
         }
     };
     reply(response, Control::Continue)
+}
+
+/// Answer `request` on the calling thread if its cost does not grow with
+/// the graph: `PING`, and a non-`FULL` `CLUSTER` whose key is already
+/// cached (through the engine's cache-only probe, which counts the
+/// request and the hit only when it hits). Everything else — `FULL`
+/// renders, misses, and every other verb — is `None`, for [`dispatch`]
+/// on a worker. The reactor calls this after admission control, so the
+/// shed rules are the same for both paths.
+pub(crate) fn answer_now(shared: &ServerShared, request: &Request) -> Option<Response> {
+    match request {
+        Request::Ping => Some(Response::Pong),
+        Request::Cluster {
+            graph,
+            params,
+            full: false,
+        } => {
+            let (graph, engine) = shared.registry.get(graph.as_deref()).ok()?;
+            let outcome = engine.cached(*params)?;
+            Some(Response::Cluster {
+                graph,
+                params: *params,
+                outcome,
+                full: false,
+            })
+        }
+        _ => None,
+    }
 }
 
 /// [`dispatch`] for a `BATCH`'s read-only, non-`CLUSTER` sub-requests,

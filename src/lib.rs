@@ -17,8 +17,10 @@
 //!   SCAN-XP ([`parscan_baselines`])
 //! - [`dense`] — matmul similarities for dense graphs ([`parscan_dense`])
 //! - [`metrics`] — modularity, ARI & NMI ([`parscan_metrics`])
-//! - [`parallel`] — the fork-join substrate: one flat worker pool and the
-//!   data-parallel primitives built on it ([`parscan_parallel`])
+//! - [`parallel`] — the shared-memory primitives: one flat worker pool
+//!   running data-parallel loops, and the parallel for/map/reduce, scan,
+//!   filter, sorts, hash tables and union-find built on it
+//!   ([`parscan_parallel`])
 //! - [`server`] — concurrent query serving: named resident indexes in a
 //!   byte-budgeted [`GraphRegistry`](parscan_server::GraphRegistry),
 //!   cached [`QueryEngine`](parscan_server::QueryEngine)s with in-flight

@@ -474,3 +474,76 @@ fn pipelined_sheds_preserve_response_order() {
     common::assert_request_ledger_balances(server.addr());
     server.shutdown();
 }
+
+#[test]
+fn pings_and_cached_clusters_are_answered_while_every_worker_is_parked() {
+    let fifo = FifoGraph::new("inline");
+    let server = serve(
+        small_registry(120, 5),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    )
+    .expect("bind");
+    let session = |timeout| {
+        let session = BufReader::new(connect(server.addr()));
+        session.get_ref().set_read_timeout(Some(timeout)).unwrap();
+        session
+    };
+
+    // Warm the key while the worker is free: a miss, computed there.
+    let mut warm = session(Duration::from_secs(120));
+    ask(&mut warm, "CLUSTER 3 0.4");
+    let miss = answer(&mut warm);
+    assert!(miss.contains(r#""cached":false"#), "{miss}");
+
+    // Park the only worker; the handshake returns once it is inside the
+    // LOAD.
+    let mut blocker = session(Duration::from_secs(120));
+    ask(&mut blocker, &format!("LOAD parked {}", fifo.path()));
+    let writer = fifo.handshake();
+
+    // PING and the cached CLUSTER need no worker: they come back at once,
+    // the hit rendered like the worker's answer apart from its timing.
+    let mut quick = session(Duration::from_secs(10));
+    ask(&mut quick, "PING");
+    assert_eq!(answer(&mut quick).trim(), r#"{"ok":true,"op":"pong"}"#);
+    ask(&mut quick, "CLUSTER 3 0.4");
+    let hit = answer(&mut quick);
+    assert!(hit.contains(r#""cached":true"#), "{hit}");
+    let head = |line: &str| line.split(r#","cached":"#).next().unwrap().to_string();
+    assert_eq!(head(&hit), head(&miss));
+
+    // A FULL render waits for the worker, and the PING pipelined behind
+    // it waits its turn: responses leave in request order.
+    quick
+        .get_mut()
+        .write_all(b"CLUSTER 3 0.4 FULL\nPING\n")
+        .expect("pipelined write");
+    quick
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let mut early = String::new();
+    assert!(
+        quick.read_line(&mut early).is_err() && early.is_empty(),
+        "answered while the worker was parked: {early}"
+    );
+    quick
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    FifoGraph::release(writer);
+    assert!(answer(&mut blocker).contains(r#""op":"load""#));
+    let full = answer(&mut quick);
+    assert!(
+        full.contains(r#""cached":true"#) && full.contains(r#""labels":["#),
+        "{full}"
+    );
+    assert_eq!(answer(&mut quick).trim(), r#"{"ok":true,"op":"pong"}"#);
+
+    common::assert_request_ledger_balances(server.addr());
+    server.shutdown();
+}
