@@ -6,17 +6,30 @@
 //! (counting the implicit self entry).
 //!
 //! The flattened structure holds `Σ_v deg(v) = 2m` entries total, matching
-//! GS*-Index's `O(m)` space bound. Like the neighbor order, it can be
-//! built with one global integer sort (Thm 4.2) or comparison sorts.
+//! GS*-Index's `O(m)` space bound.
+//!
+//! Construction needs no global sort. `CO[μ]` holds exactly the vertices
+//! of degree `≥ μ - 1`, so its size is a suffix sum of the degree
+//! histogram, and vertex `v`'s entries for `μ = 2 ..= deg(v) + 1` are
+//! `NO[v]`'s similarities in order. One stable counting scatter fills
+//! every bucket, in ascending vertex order, with packed
+//! `(!threshold bits) << 32 | v` keys, and then each bucket is sorted on
+//! its own: stable by the high half with the segment sort for the
+//! Thm 4.2 (integer) path, or by whole keys with a parallel comparison
+//! sort for the Thm 4.1 path. Either way ties keep ascending vertex
+//! order. The segment sort costs `O(d log 65536) = O(d)` for a bucket of
+//! `d ≤ 65,536` entries and radix-sorts larger ones, so the integer path
+//! is `O(m)` work with polylogarithmic span.
 
 use crate::index::SortStrategy;
 use crate::neighbor_order::NeighborOrder;
 use parscan_graph::{CsrGraph, VertexId};
-use parscan_parallel::prefix::exclusive_scan_usize;
-use parscan_parallel::primitives::{par_for, par_map};
-use parscan_parallel::radix::par_radix_sort_by_key;
+use parscan_parallel::pool::num_threads;
+use parscan_parallel::primitives::{par_for, par_for_range, par_map};
+use parscan_parallel::radix::par_sort_segments;
 use parscan_parallel::sort::par_sort_unstable_by;
 use parscan_parallel::utils::SyncMutPtr;
+use parscan_parallel::weighted::weighted_chunk_ranges;
 
 /// Core order: concatenated `CO[μ]` lists for `μ ∈ [2, max_mu]`.
 #[derive(Clone, Debug)]
@@ -29,13 +42,6 @@ pub struct CoreOrder {
     thresholds: Vec<f32>,
 }
 
-#[derive(Clone, Copy)]
-struct Entry {
-    mu: u32,
-    threshold: f32,
-    v: VertexId,
-}
-
 impl CoreOrder {
     /// Largest μ with a non-empty `CO[μ]` (`max closed degree`); 1 if the
     /// graph has no edges (so every `CO[μ]`, μ ≥ 2, is empty).
@@ -44,9 +50,6 @@ impl CoreOrder {
     }
 
     /// Build the core order from the neighbor order.
-    // clippy::uninit_vec: the entries buffer is Copy and every slot is
-    // written by the disjoint per-vertex ranges before any read.
-    #[allow(clippy::uninit_vec)]
     pub fn build(g: &CsrGraph, no: &NeighborOrder, strategy: SortStrategy) -> Self {
         let n = g.num_vertices();
         let max_mu = g.max_degree() as u32 + 1; // closed degree
@@ -57,70 +60,92 @@ impl CoreOrder {
                 thresholds: Vec::new(),
             };
         }
+        // Bucket `i` is `CO[i + 2]`; vertex `v` contributes its `i`-th
+        // NO similarity to every bucket `i < deg(v)`.
+        let n_buckets = (max_mu - 1) as usize;
+        let degrees: Vec<usize> = par_map(n, 2048, |v| g.degree(v as VertexId));
+        let chunks = weighted_chunk_ranges(&degrees, 8 * num_threads());
 
-        // Emit one entry per (v, μ) pair, μ ∈ [2, deg(v) + 1]; vertex-major
-        // order makes ties id-ordered under a stable sort.
-        let per_vertex: Vec<usize> = par_map(n, 2048, |v| g.degree(v as VertexId));
-        let (starts, total) = exclusive_scan_usize(&per_vertex);
-        debug_assert_eq!(total, g.num_slots());
-        let mut entries: Vec<Entry> = Vec::with_capacity(total);
-        // SAFETY: all elements written below; Entry is Copy.
-        unsafe { entries.set_len(total) };
-        let ptr = SyncMutPtr::new(&mut entries);
-        par_for(n, 256, |v| {
-            let vid = v as VertexId;
-            let mut pos = starts[v];
-            for mu in 2..=(g.degree(vid) as u32 + 1) {
-                let threshold = no
-                    .core_threshold(g, vid, mu)
-                    .expect("mu within closed degree");
-                // SAFETY: per-vertex output ranges are disjoint.
-                unsafe {
-                    ptr.write(
-                        pos,
-                        Entry {
-                            mu,
-                            threshold,
-                            v: vid,
-                        },
-                    )
-                };
-                pos += 1;
+        // Per chunk, the entries it puts in each bucket it reaches: the
+        // chunk's vertices of degree > i, a suffix sum of its degree
+        // histogram. A chunk's row is as long as its largest degree, so
+        // the rows sum to at most 2m + chunks.
+        let mut cursors: Vec<Vec<usize>> = par_map(chunks.len(), 1, |c| {
+            let span = chunks[c].clone().map(|v| degrees[v]).max().unwrap_or(0);
+            let mut row = vec![0usize; span + 1];
+            for v in chunks[c].clone() {
+                row[degrees[v]] += 1;
             }
+            for i in (0..span).rev() {
+                row[i] += row[i + 1];
+            }
+            row.remove(0);
+            row
         });
-
-        // Sort by (μ asc, threshold desc, id asc).
-        match strategy {
-            SortStrategy::Integer => {
-                // Stable radix keeps the vertex-major id order on ties.
-                let max_key = ((max_mu as u64) << 32) | 0xffff_ffff;
-                par_radix_sort_by_key(
-                    &mut entries,
-                    |e| ((e.mu as u64) << 32) | (!(e.threshold.to_bits()) as u64 & 0xffff_ffff),
-                    Some(max_key),
-                );
+        // Bucket sizes are the column sums, and their prefix sums the μ
+        // offsets. Each chunk's row then becomes its write cursors: the
+        // bucket offset plus what earlier chunks put in that bucket.
+        let mut mu_offsets = vec![0usize; n_buckets + 1];
+        for row in &cursors {
+            for (i, &k) in row.iter().enumerate() {
+                mu_offsets[i + 1] += k;
             }
-            SortStrategy::Comparison => {
-                par_sort_unstable_by(&mut entries, |a, b| {
-                    a.mu.cmp(&b.mu)
-                        .then(
-                            b.threshold
-                                .partial_cmp(&a.threshold)
-                                .expect("finite thresholds"),
-                        )
-                        .then(a.v.cmp(&b.v))
-                });
+        }
+        for i in 0..n_buckets {
+            mu_offsets[i + 1] += mu_offsets[i];
+        }
+        let total = mu_offsets[n_buckets];
+        debug_assert_eq!(total, g.num_slots());
+        let mut next = mu_offsets[..n_buckets].to_vec();
+        for row in &mut cursors {
+            for (i, k) in row.iter_mut().enumerate() {
+                let start = next[i];
+                next[i] += *k;
+                *k = start;
             }
         }
 
-        // Per-μ offsets by binary search (μ range is small: max degree).
-        let n_mus = (max_mu - 1) as usize; // μ = 2 ..= max_mu
-        let mu_offsets: Vec<usize> = par_map(n_mus + 1, 64, |i| {
-            let mu = i as u32 + 2;
-            entries.partition_point(|e| e.mu < mu)
+        // Stable counting scatter, chunk by chunk in vertex order.
+        let mut keys = vec![0u64; total];
+        let ptr = SyncMutPtr::new(&mut keys);
+        par_for(chunks.len(), 1, |c| {
+            let mut cursor = cursors[c].clone();
+            for v in chunks[c].clone() {
+                let v = v as VertexId;
+                for (i, &t) in no.similarities(g, v).iter().enumerate() {
+                    // SAFETY: the cursors give each (chunk, bucket) pair a
+                    // disjoint in-bounds range, written once per entry.
+                    unsafe { ptr.write(cursor[i], ((!t.to_bits() as u64) << 32) | v as u64) };
+                    cursor[i] += 1;
+                }
+            }
         });
-        let vertices = par_map(total, 8192, |i| entries[i].v);
-        let thresholds = par_map(total, 8192, |i| entries[i].threshold);
+
+        // Sort each bucket by (threshold desc, id asc). Buckets hold
+        // ascending ids, so a stable sort by the high half suffices.
+        match strategy {
+            SortStrategy::Integer => par_sort_segments(&mut keys, &mu_offsets),
+            SortStrategy::Comparison => {
+                for w in mu_offsets.windows(2) {
+                    par_sort_unstable_by(&mut keys[w[0]..w[1]], |a, b| a.cmp(b));
+                }
+            }
+        }
+
+        let mut vertices = vec![0 as VertexId; total];
+        let mut thresholds = vec![0f32; total];
+        let v_ptr = SyncMutPtr::new(&mut vertices);
+        let t_ptr = SyncMutPtr::new(&mut thresholds);
+        par_for_range(total, 8192, |r| {
+            for k in r {
+                let key = keys[k];
+                // SAFETY: chunk ranges are disjoint and in bounds.
+                unsafe {
+                    v_ptr.write(k, key as VertexId);
+                    t_ptr.write(k, f32::from_bits(!((key >> 32) as u32)));
+                }
+            }
+        });
         CoreOrder {
             mu_offsets,
             vertices,
@@ -270,6 +295,16 @@ mod tests {
         let g = generators::erdos_renyi(300, 2500, 12);
         let (_, a) = build(&g, SortStrategy::Comparison);
         let (_, b) = build(&g, SortStrategy::Integer);
+        assert_eq!(a.mu_offsets, b.mu_offsets);
+        assert_eq!(a.vertices, b.vertices);
+        assert_eq!(a.thresholds, b.thresholds);
+        // A hub of degree above 65,536: CO[2] (every vertex) is
+        // radix-sorted by the whole pool, the long tail of one-entry
+        // buckets in cache.
+        let g = crate::test_support::star_with_leaf_edges(70_000, 100_000, 5);
+        let (_, a) = build(&g, SortStrategy::Comparison);
+        let (_, b) = build(&g, SortStrategy::Integer);
+        assert!(a.candidates(2).0.len() > 1 << 16);
         assert_eq!(a.mu_offsets, b.mu_offsets);
         assert_eq!(a.vertices, b.vertices);
         assert_eq!(a.thresholds, b.thresholds);

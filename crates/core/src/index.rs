@@ -25,7 +25,10 @@ pub enum ExactStrategy {
 /// How the neighbor and core orders are sorted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SortStrategy {
-    /// One global stable integer (radix) sort — the Thm 4.2 improvement.
+    /// Integer sorts of pre-grouped segments — the Thm 4.2 improvement:
+    /// each vertex's slots (NO) and each μ bucket (CO) is sorted on its
+    /// own, in cache when it holds at most 65,536 records and by radix
+    /// otherwise, for `O(m)` work.
     #[default]
     Integer,
     /// Parallel comparison sorts — the Thm 4.1 path.

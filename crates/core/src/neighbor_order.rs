@@ -7,17 +7,22 @@
 //! Two construction paths mirror Theorems 4.1/4.2:
 //!
 //! - **Comparison**: per-vertex parallel comparison sorts (`O(m log n)`),
-//! - **Integer**: one global stable radix sort of all `2m` slots keyed by
-//!   `(vertex, descending similarity)`. Similarities in `[0, 1]` map
-//!   monotonically to their IEEE-754 bit patterns, so the "rational → fixed
-//!   point integer" trick of §2.3.2 is exact here — both paths produce
-//!   identical orders.
+//! - **Integer**: each slot becomes one packed `u64`,
+//!   `(!similarity bits) << 32 | neighbor`, and every vertex's slot range
+//!   is stable-sorted by the high half as one segment
+//!   ([`par_sort_segments`]). Similarities in
+//!   `[0, 1]` map monotonically to their IEEE-754 bit patterns, so the
+//!   "rational → fixed point integer" trick of §2.3.2 is exact here and
+//!   both paths produce identical orders. A vertex of degree
+//!   `d ≤ 65,536` costs `O(d log 65536) = O(d)` and a larger one is
+//!   radix-sorted, so the build keeps Thm 4.2's `O(m)` work and
+//!   polylogarithmic span.
 
 use crate::index::SortStrategy;
 use crate::similarity_exact::EdgeSimilarities;
 use parscan_graph::{CsrGraph, VertexId};
-use parscan_parallel::primitives::{par_for, par_map};
-use parscan_parallel::radix::par_radix_sort_by_key;
+use parscan_parallel::primitives::{par_for, par_for_range, par_map};
+use parscan_parallel::radix::par_sort_segments;
 use parscan_parallel::utils::SyncMutPtr;
 
 /// Neighbor order: per-vertex neighbor/similarity arrays sorted by
@@ -70,24 +75,28 @@ impl NeighborOrder {
 
     fn build_integer(g: &CsrGraph, sims: &EdgeSimilarities) -> Self {
         let slots = g.num_slots();
-        // Key layout: vertex id (high 32 bits) | similarity-descending
-        // (complemented IEEE bits, low 32). Payload: the original slot.
-        // Initial CSR order is neighbor-ascending per vertex, and the radix
-        // sort is stable, so equal similarities keep ascending-id order.
-        let mut keyed: Vec<(u64, u32)> = par_map(slots, 8192, |s| {
-            let v = g.slot_owner(s) as u64;
-            let desc_bits = !(sims.slot(s).to_bits()) as u64 & 0xffff_ffff;
-            ((v << 32) | desc_bits, s as u32)
+        // Ascending high halves put higher similarities first
+        // (complemented bits). CSR lists are neighbor-ascending and the
+        // segment sort is stable, so ties keep ascending neighbor order.
+        let mut keys: Vec<u64> = par_map(slots, 8192, |s| {
+            ((!sims.slot(s).to_bits() as u64) << 32) | g.slot_neighbor(s) as u64
         });
-        let n = g.num_vertices() as u64;
-        let max_key = if n == 0 {
-            0
-        } else {
-            ((n - 1) << 32) | 0xffff_ffff
-        };
-        par_radix_sort_by_key(&mut keyed, |e| e.0, Some(max_key));
-        let nbr = par_map(slots, 8192, |k| g.slot_neighbor(keyed[k].1 as usize));
-        let sim = par_map(slots, 8192, |k| sims.slot(keyed[k].1 as usize));
+        let (offsets, _, _) = g.parts();
+        par_sort_segments(&mut keys, offsets);
+        let mut nbr = vec![0 as VertexId; slots];
+        let mut sim = vec![0f32; slots];
+        let nbr_ptr = SyncMutPtr::new(&mut nbr);
+        let sim_ptr = SyncMutPtr::new(&mut sim);
+        par_for_range(slots, 8192, |r| {
+            for k in r {
+                let key = keys[k];
+                // SAFETY: chunk ranges are disjoint and in bounds.
+                unsafe {
+                    nbr_ptr.write(k, key as VertexId);
+                    sim_ptr.write(k, f32::from_bits(!((key >> 32) as u32)));
+                }
+            }
+        });
         NeighborOrder { nbr, sim }
     }
 
@@ -222,6 +231,13 @@ mod tests {
             assert_eq!(cmp.nbr, int.nbr);
             assert_eq!(cmp.sim, int.sim);
         }
+        // A hub of degree above 65,536, so the segment sort runs both its
+        // per-thread branch and its whole-pool radix branch.
+        let g = crate::test_support::star_with_leaf_edges(70_000, 100_000, 5);
+        assert!(g.max_degree() > 1 << 16);
+        let (cmp, int) = build_both(&g);
+        assert_eq!(cmp.nbr, int.nbr);
+        assert_eq!(cmp.sim, int.sim);
     }
 
     #[test]

@@ -22,6 +22,19 @@ use crate::similarity::SimilarityMeasure;
 use parscan_graph::{CsrGraph, VertexId};
 use std::collections::BTreeMap;
 
+/// A star on `n` vertices plus `extra` random edges among its leaves:
+/// one hub of degree `n - 1` beside many small neighborhoods. With
+/// `n > 65_537` the hub's list and `CO[2]` are longer than the segments
+/// the segment sort handles one per thread, so the order builds run both
+/// of its branches.
+#[cfg(test)]
+pub(crate) fn star_with_leaf_edges(n: usize, extra: usize, seed: u64) -> CsrGraph {
+    let leaves = parscan_graph::generators::erdos_renyi(n - 1, extra, seed);
+    let mut edges: Vec<(VertexId, VertexId)> = (1..n as VertexId).map(|v| (0, v)).collect();
+    edges.extend(leaves.canonical_edges().map(|(u, v, _)| (u + 1, v + 1)));
+    parscan_graph::from_edges(n, &edges)
+}
+
 /// The oracle's build configuration: full per-edge merges (the simple
 /// pSCAN-style kernel, bitwise identical to the incremental recompute
 /// path) and the same integer sort the dynamic path uses, so a correct

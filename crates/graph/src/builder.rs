@@ -1,21 +1,34 @@
 //! Parallel CSR construction from edge lists.
 //!
-//! Pipeline: symmetrize into directed entries, parallel radix sort by
-//! `(u, v)` key, drop self-loops and duplicate entries (keeping the first
-//! occurrence's weight), then derive offsets by binary searching vertex
-//! boundaries. All phases are flat data-parallel, so construction itself
-//! follows the paper's work/span discipline.
+//! Pipeline: count each vertex's directed entries (both endpoints of
+//! every input edge that is not a self-loop), prefix-sum the counts into
+//! one segment per vertex, and scatter each entry, in input order, into
+//! its owner's segment as a packed `neighbor << 32 | input index` key.
+//! A stable sort of each segment by neighbor ([`par_sort_segments`])
+//! puts each neighbor's earliest input occurrence first, and both sides
+//! of an edge see the same earliest index. Keeping that first key drops
+//! the duplicates with the first occurrence's weight winning, a second
+//! prefix sum compacts the lists into the CSR arrays, and the shared
+//! index pairs every slot with its twin. The scatter keeps input order
+//! within a segment whatever the chunking, so the output does not depend
+//! on the thread count. Work is `O(n + m)` (segments of up to 65,536
+//! entries are sorted in cache, larger ones by radix) and every phase is
+//! a flat parallel loop, so construction follows the paper's work/span
+//! discipline.
 
 use crate::csr::{CsrGraph, VertexId};
-use parscan_parallel::filter::filter_map_index;
+use parscan_parallel::pool::chunk_ranges;
+use parscan_parallel::prefix::exclusive_scan_usize;
 use parscan_parallel::primitives::{par_for, par_map, reduce};
-use parscan_parallel::radix::par_radix_sort_by_key;
+use parscan_parallel::radix::par_sort_segments;
+use parscan_parallel::utils::SyncMutPtr;
+use parscan_parallel::weighted::par_for_weighted;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-#[derive(Clone, Copy)]
-struct Entry {
-    key: u64, // u << 32 | v
-    weight: f32,
-}
+/// The scatter groups owners into at most `2^OWNER_BLOCK_BITS` blocks of
+/// consecutive vertices: few enough for one bucketing pass, and small
+/// enough that a block's part of the key array stays in cache.
+const OWNER_BLOCK_BITS: u32 = 10;
 
 /// Build an unweighted simple undirected graph on `n` vertices.
 ///
@@ -34,11 +47,18 @@ pub fn from_weighted_edges(n: usize, edges: &[(VertexId, VertexId, f32)]) -> Csr
     build(n, edges.len(), |i| edges[i], true)
 }
 
-fn build<F>(n: usize, n_edges: usize, edge: F, weighted: bool) -> CsrGraph
+/// The CSR build behind [`from_edges`] and [`from_weighted_edges`];
+/// `edge(i)` is input edge `i`, and weights are kept when `weighted`.
+pub(crate) fn build<F>(n: usize, n_edges: usize, edge: F, weighted: bool) -> CsrGraph
 where
     F: Fn(usize) -> (VertexId, VertexId, f32) + Sync,
 {
     assert!(n <= u32::MAX as usize, "vertex ids are u32");
+    assert!(
+        n_edges <= u32::MAX as usize,
+        "input edge indices are u32 (at most {} edges)",
+        u32::MAX
+    );
     if n_edges > 0 {
         let max_id = reduce(
             n_edges,
@@ -56,45 +76,175 @@ where
         );
     }
 
-    // Symmetrize: 2 directed entries per input edge; self-loops dropped.
-    let mut entries: Vec<Entry> = filter_map_index(2 * n_edges, |i| {
-        let (u, v, w) = edge(i / 2);
-        if u == v {
-            return None;
+    // Scatter every directed entry into its owner's segment as a
+    // `neighbor << 32 | input index` key. Two cache-friendly passes
+    // replace one random write per entry. Pass 1 is one radix pass over
+    // owner blocks (at most 1024 blocks of consecutive vertices): count
+    // each edge chunk's entries per block, then stage them block-major.
+    // Pass 2 takes one block at a time: counting its vertices' entries
+    // fixes their segments inside the block's range of the key array,
+    // and the keys are written there in input order.
+    let shift = (usize::BITS - n.leading_zeros()).saturating_sub(OWNER_BLOCK_BITS);
+    let n_blocks = n.div_ceil(1 << shift);
+    let chunks = chunk_ranges(n_edges, 4096);
+    let for_each_entry = |c: usize, f: &mut dyn FnMut(VertexId, VertexId, u32)| {
+        for i in chunks[c].clone() {
+            let (u, v, _) = edge(i);
+            if u != v {
+                f(u, v, i as u32);
+                f(v, u, i as u32);
+            }
         }
-        let (a, b) = if i % 2 == 0 { (u, v) } else { (v, u) };
-        Some(Entry {
-            key: ((a as u64) << 32) | b as u64,
-            weight: w,
-        })
-    });
-
-    let max_key = if n == 0 {
-        0
-    } else {
-        (((n - 1) as u64) << 32) | (n - 1) as u64
     };
-    par_radix_sort_by_key(&mut entries, |e| e.key, Some(max_key));
-
-    // Drop duplicates (adjacent after the sort; stability keeps the first
-    // occurrence of each directed entry first).
-    let deduped: Vec<Entry> = filter_map_index(entries.len(), |i| {
-        (i == 0 || entries[i - 1].key != entries[i].key).then(|| entries[i])
+    // `heads[c][b]`: where chunk `c`'s entries for block `b` start.
+    let mut heads: Vec<Vec<usize>> = par_map(chunks.len(), 1, |c| {
+        let mut row = vec![0usize; n_blocks];
+        for_each_entry(c, &mut |a, _, _| row[a as usize >> shift] += 1);
+        row
     });
-    drop(entries);
+    let mut block_starts = vec![0usize; n_blocks + 1];
+    for b in 0..n_blocks {
+        block_starts[b + 1] = block_starts[b];
+        for row in &mut heads {
+            let count = row[b];
+            row[b] = block_starts[b + 1];
+            block_starts[b + 1] += count;
+        }
+    }
+    let total = block_starts[n_blocks];
+    let mut staged = vec![(0 as VertexId, 0 as VertexId, 0u32); total];
+    {
+        let staged_ptr = SyncMutPtr::new(&mut staged);
+        par_for(chunks.len(), 1, |c| {
+            let mut head = heads[c].clone();
+            let end = |b: usize| heads.get(c + 1).map_or(block_starts[b + 1], |next| next[b]);
+            for_each_entry(c, &mut |a, nbr, i| {
+                let b = a as usize >> shift;
+                assert!(head[b] < end(b), "edge(i) must not change between calls");
+                // SAFETY: `head[b]` lies in chunk `c`'s range for block
+                // `b` (checked), which no other chunk writes.
+                unsafe { staged_ptr.write(head[b], (a, nbr, i)) };
+                head[b] += 1;
+            });
+        });
+    }
+    let block_len: Vec<usize> = block_starts.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut segments = vec![0usize; n + 1];
+    segments[n] = total;
+    let mut keys = vec![0u64; total];
+    {
+        let seg_ptr = SyncMutPtr::new(&mut segments);
+        let keys_ptr = SyncMutPtr::new(&mut keys);
+        par_for_weighted(&block_len, |b| {
+            let first = b << shift;
+            let block = (first + (1 << shift)).min(n) - first;
+            let entries = &staged[block_starts[b]..block_starts[b + 1]];
+            // SAFETY: blocks cover disjoint vertex ranges of `segments`
+            // and disjoint ranges of `keys`, and each block is one task.
+            let (seg, out) = unsafe {
+                (
+                    seg_ptr.slice_mut(first, block),
+                    keys_ptr.slice_mut(block_starts[b], entries.len()),
+                )
+            };
+            let mut cursor = vec![0usize; block];
+            for &(a, _, _) in entries {
+                cursor[a as usize - first] += 1;
+            }
+            let mut at = 0;
+            for (k, c) in cursor.iter_mut().enumerate() {
+                seg[k] = block_starts[b] + at;
+                (*c, at) = (at, at + *c);
+            }
+            for &(a, nbr, i) in entries {
+                let c = &mut cursor[a as usize - first];
+                out[*c] = ((nbr as u64) << 32) | i as u64;
+                *c += 1;
+            }
+        });
+    }
+    drop(staged);
+    par_sort_segments(&mut keys, &segments);
 
-    // Offsets: first position of each vertex's key range.
-    let offsets: Vec<usize> = par_map(n + 1, 1024, |v| {
-        let bound = (v as u64) << 32;
-        deduped.partition_point(|e| e.key < bound)
-    });
+    // Compact the first key of each neighbor run into the CSR arrays,
+    // block by block.
+    let for_each_vertex = |f: &(dyn Fn(usize) + Sync)| {
+        par_for_weighted(&block_len, |b| {
+            ((b << shift)..((b + 1) << shift).min(n)).for_each(f)
+        });
+    };
+    let segment = |u: usize| first_keys(&keys[segments[u]..segments[u + 1]]);
+    let degrees: Vec<usize> = par_map(n, 1024, |u| segment(u).count());
+    let offsets = offsets_from(&degrees);
+    let slots = offsets[n];
+    assert!(
+        slots <= u32::MAX as usize,
+        "slot count exceeds u32 index space"
+    );
+    let mut neighbors = vec![0 as VertexId; slots];
+    let mut weights = weighted.then(|| vec![0f32; slots]);
+    // `lower_slot[i]`: the slot of kept input edge `i` in its smaller
+    // endpoint's list, where the larger endpoint finds its twin.
+    let mut lower_slot = vec![0u32; n_edges];
+    {
+        let nbr_ptr = SyncMutPtr::new(&mut neighbors);
+        let w_ptr = weights.as_deref_mut().map(SyncMutPtr::new);
+        let lower_ptr = SyncMutPtr::new(&mut lower_slot);
+        for_each_vertex(&|u| {
+            for (s, (v, i)) in (offsets[u]..).zip(segment(u)) {
+                // SAFETY: `s` is in `u`'s output range, which no other
+                // vertex writes; a kept input index `i` has exactly one
+                // lower-endpoint slot.
+                unsafe {
+                    nbr_ptr.write(s, v);
+                    if let Some(w) = w_ptr {
+                        w.write(s, edge(i).2);
+                    }
+                    if (u as VertexId) < v {
+                        lower_ptr.write(i, s as u32);
+                    }
+                }
+            }
+        });
+    }
+    let mut twins = vec![0u32; slots];
+    {
+        let twins_ptr = SyncMutPtr::new(&mut twins);
+        for_each_vertex(&|u| {
+            for (s, (v, i)) in (offsets[u]..).zip(segment(u)) {
+                if (u as VertexId) > v {
+                    let t = lower_slot[i];
+                    // SAFETY: `s` is this upper-endpoint slot and `t` its
+                    // one lower-endpoint partner; each pair is handled by
+                    // its upper endpoint only, so every slot is written
+                    // once.
+                    unsafe {
+                        twins_ptr.write(s, t);
+                        twins_ptr.write(t as usize, s as u32);
+                    }
+                }
+            }
+        });
+    }
+    CsrGraph::from_parts_unchecked(offsets, neighbors, weights, twins)
+}
 
-    let neighbors: Vec<VertexId> = par_map(deduped.len(), 8192, |i| {
-        (deduped[i].key & 0xffff_ffff) as VertexId
-    });
-    let weights = weighted.then(|| par_map(deduped.len(), 8192, |i| deduped[i].weight));
+/// Exclusive prefix sums of `counts` with the total appended: the
+/// `n + 1` offsets of consecutive ranges of those sizes.
+fn offsets_from(counts: &[usize]) -> Vec<usize> {
+    let (mut offsets, total) = exclusive_scan_usize(counts);
+    offsets.push(total);
+    offsets
+}
 
-    CsrGraph::from_parts_unchecked(offsets, neighbors, weights)
+/// The first key of each neighbor run in a sorted segment, as
+/// `(neighbor, input index)`: the earliest occurrence of that edge.
+fn first_keys(segment: &[u64]) -> impl Iterator<Item = (VertexId, usize)> + '_ {
+    segment
+        .iter()
+        .enumerate()
+        .filter(|&(k, &key)| k == 0 || key >> 32 != segment[k - 1] >> 32)
+        .map(|(_, &key)| ((key >> 32) as VertexId, (key & 0xffff_ffff) as usize))
 }
 
 /// Relabel a graph so vertex `v` becomes `perm[v]` (a bijection).
@@ -143,7 +293,6 @@ where
 
 /// Parallel histogram of endpoint degrees — used by tests and stats.
 pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     let max_deg = g.max_degree();
     let hist: Vec<AtomicUsize> = (0..=max_deg).map(|_| AtomicUsize::new(0)).collect();
     par_for(g.num_vertices(), 2048, |v| {

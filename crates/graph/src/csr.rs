@@ -104,30 +104,6 @@ fn validate_parts_and_build_twins(
     Ok(twins)
 }
 
-/// Compute the twin-slot permutation for validated CSR parts.
-fn build_twins(offsets: &[usize], neighbors: &[VertexId]) -> Vec<u32> {
-    let slots = neighbors.len();
-    assert!(
-        slots <= u32::MAX as usize,
-        "slot count exceeds u32 index space"
-    );
-    let n = offsets.len() - 1;
-    let mut twins = vec![0u32; slots];
-    let ptr = parscan_parallel::utils::SyncMutPtr::new(&mut twins);
-    par_for(n, 256, |u| {
-        for s in offsets[u]..offsets[u + 1] {
-            let v = neighbors[s] as usize;
-            let vlist = &neighbors[offsets[v]..offsets[v + 1]];
-            let i = vlist
-                .binary_search(&(u as VertexId))
-                .expect("validated graphs are symmetric");
-            // SAFETY: each slot `s` is written by exactly one vertex `u`.
-            unsafe { ptr.write(s, (offsets[v] + i) as u32) };
-        }
-    });
-    twins
-}
-
 impl CsrGraph {
     /// Assemble a graph from raw CSR parts, validating all invariants.
     ///
@@ -162,22 +138,25 @@ impl CsrGraph {
         })
     }
 
-    /// Assemble without validation — for internal builders whose output is
-    /// correct by construction (they run `debug_assert!` validation).
+    /// Assemble without validation — for internal builders whose output,
+    /// twins included, is correct by construction (checked in debug
+    /// builds).
     pub(crate) fn from_parts_unchecked(
         offsets: Vec<usize>,
         neighbors: Vec<VertexId>,
         weights: Option<Vec<f32>>,
+        twins: Vec<u32>,
     ) -> Self {
-        let mut g = CsrGraph {
+        debug_assert_eq!(
+            validate_parts_and_build_twins(&offsets, &neighbors, weights.as_deref()).as_ref(),
+            Ok(&twins)
+        );
+        CsrGraph {
             offsets,
             neighbors,
             weights,
-            twins: Vec::new(),
-        };
-        debug_assert_eq!(g.validate(), Ok(()));
-        g.twins = build_twins(&g.offsets, &g.neighbors);
-        g
+            twins,
+        }
     }
 
     /// Number of vertices `n`.

@@ -14,7 +14,8 @@
 //! - [`prefix`]: parallel (exclusive) scan,
 //! - [`filter`](mod@filter): parallel filter/pack,
 //! - [`sort`]: parallel comparison sort (chunk sort + co-rank parallel merge),
-//! - [`radix`]: parallel stable LSD integer sort (the Thm 4.2 ingredient),
+//! - [`radix`]: parallel stable LSD integer sort (the Thm 4.2 ingredient)
+//!   and its segmented form, which sorts each pre-grouped segment,
 //! - [`hashtable`]: phase-concurrent open-addressing hash set/map,
 //! - [`union_find`]: lock-free concurrent union-find (ConnectIt-style),
 //! - [`connectivity`]: parallel connected components over explicit edge
@@ -43,7 +44,7 @@ pub use hashtable::{ConcurrentMapU64, ConcurrentSetU64};
 pub use pool::{num_threads, set_active_threads};
 pub use prefix::exclusive_scan_usize;
 pub use primitives::{par_for, par_for_range, par_map, reduce};
-pub use radix::par_radix_sort_by_key;
+pub use radix::{par_radix_sort_by_key, par_sort_segments};
 pub use sort::par_sort_unstable_by;
 pub use union_find::ConcurrentUnionFind;
 pub use weighted::{par_for_weighted, par_for_weighted_range, weighted_chunk_ranges};

@@ -11,7 +11,7 @@
 //!   registry evicts least-recently-*queried* graphs until the newcomer
 //!   fits; the default (boot) graph is pinned against eviction, and a
 //!   graph that could never fit — even with everything else evicted — is
-//!   rejected outright.
+//!   rejected outright, before anything is evicted.
 //! - **Load coalescing.** Concurrent `LOAD`s of the same name build the
 //!   index once: the first caller becomes the leader, everyone else
 //!   waits on its outcome ([`LoadOutcome::Coalesced`]). This is the
@@ -85,7 +85,8 @@ pub enum RegistryError {
     /// The graph is currently being loaded by another session.
     Loading { name: String },
     /// The graph can never fit: its footprint alone exceeds the budget,
-    /// or everything evictable has been evicted and it still does not fit.
+    /// or it would not fit even with everything evictable evicted (then
+    /// nothing is evicted).
     BudgetExceeded {
         name: String,
         bytes: usize,
@@ -366,43 +367,53 @@ impl GraphRegistry {
 
     /// Admit `entry` under `name`, evicting least-recently-used
     /// non-default graphs until both the byte budget and the graph-count
-    /// budget hold. Caller holds the write lock and has verified the
-    /// name is free. Returns the evicted graphs; the caller hands them
-    /// to [`GraphRegistry::notify_evicted`] once the lock is released.
+    /// budget hold. When even evicting every evictable graph would not
+    /// make room, nothing is evicted and the error names the budget that
+    /// fails. Caller holds the write lock and has verified the name is
+    /// free. Returns the evicted graphs; the caller hands them to
+    /// [`GraphRegistry::notify_evicted`] once the lock is released.
     fn admit_locked(
         &self,
         slots: &mut HashMap<String, Slot>,
         name: &str,
         entry: Arc<GraphEntry>,
     ) -> Result<Evicted, RegistryError> {
-        let mut victims = Vec::new();
         let budget = self.config.byte_budget;
-        if let Some(budget) = budget {
-            if entry.bytes > budget {
+        // Whether `entry` fits beside the Ready graphs `keep` selects.
+        let fits_beside = |slots: &HashMap<String, Slot>, keep: &dyn Fn(&str) -> bool| {
+            let (mut bytes, mut count) = (0, 0);
+            for (n, s) in slots {
+                if let Slot::Ready(e) = s {
+                    if keep(n) {
+                        bytes += e.bytes;
+                        count += 1;
+                    }
+                }
+            }
+            let bytes_ok = budget.is_none_or(|b| bytes + entry.bytes <= b);
+            (bytes_ok, count < self.config.max_graphs)
+        };
+        // The floor: only the pinned default graph stays.
+        match fits_beside(slots, &|n| n == self.default_name) {
+            (true, true) => {}
+            // Report the budget that actually fails: bytes when the
+            // footprint does not fit, otherwise the graph count.
+            (false, _) => {
                 return Err(RegistryError::BudgetExceeded {
                     name: name.into(),
                     bytes: entry.bytes,
-                    budget,
-                });
+                    budget: budget.expect("bytes only fail under a byte budget"),
+                })
+            }
+            (true, false) => {
+                return Err(RegistryError::TooManyGraphs {
+                    name: name.into(),
+                    max_graphs: self.config.max_graphs,
+                })
             }
         }
-        loop {
-            let resident: usize = slots
-                .values()
-                .filter_map(|s| match s {
-                    Slot::Ready(e) => Some(e.bytes),
-                    Slot::Loading(_) => None,
-                })
-                .sum();
-            let ready_count = slots
-                .values()
-                .filter(|s| matches!(s, Slot::Ready(_)))
-                .count();
-            let bytes_ok = budget.is_none_or(|b| resident + entry.bytes <= b);
-            let count_ok = ready_count < self.config.max_graphs;
-            if bytes_ok && count_ok {
-                break;
-            }
+        let mut victims = Vec::new();
+        while fits_beside(slots, &|_| true) != (true, true) {
             // Evict the least-recently-queried Ready graph; the default
             // graph is pinned (only an explicit UNLOAD removes it).
             let victim = slots
@@ -414,23 +425,8 @@ impl GraphRegistry {
                     _ => None,
                 })
                 .min_by_key(|&(_, tick)| tick)
-                .map(|(n, _)| n);
-            let Some(victim) = victim else {
-                // Report the budget that actually failed: bytes when the
-                // footprint does not fit, otherwise the graph count.
-                return Err(if bytes_ok {
-                    RegistryError::TooManyGraphs {
-                        name: name.into(),
-                        max_graphs: self.config.max_graphs,
-                    }
-                } else {
-                    RegistryError::BudgetExceeded {
-                        name: name.into(),
-                        bytes: entry.bytes,
-                        budget: budget.expect("bytes only fail under a byte budget"),
-                    }
-                });
-            };
+                .map(|(n, _)| n)
+                .expect("the floor check leaves a victim while the budgets fail");
             let slot = slots.remove(&victim).expect("the victim is resident");
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             victims.push((victim, slot));
@@ -835,6 +831,39 @@ mod tests {
         let err = r.install("big", small_index(2)).unwrap_err();
         assert!(matches!(err, RegistryError::BudgetExceeded { .. }), "{err}");
         assert!(r.get(None).is_ok());
+    }
+
+    #[test]
+    fn failed_admission_evicts_nothing() {
+        let one = index_bytes();
+        let big = || {
+            let (g, _) = generators::planted_partition(600, 3, 8.0, 1.0, 7);
+            ScanIndex::build(g, IndexConfig::default())
+        };
+        let big_bytes = big().memory_bytes();
+        assert!(big_bytes > 2 * one, "big must outweigh the default plus a");
+        // The default plus `a` fit and `big` alone fits, but the default
+        // plus `big` does not, so admitting `big` must fail up front.
+        let r = GraphRegistry::new(
+            "boot",
+            RegistryConfig {
+                byte_budget: Some(big_bytes + one / 2),
+                ..Default::default()
+            },
+        );
+        let hook_calls = Arc::new(AtomicUsize::new(0));
+        let calls = Arc::clone(&hook_calls);
+        r.set_evict_hook(Box::new(move |_| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        }));
+        r.install("boot", small_index(1)).unwrap();
+        r.install("a", small_index(2)).unwrap();
+        let err = r.install("big", big()).unwrap_err();
+        assert!(matches!(err, RegistryError::BudgetExceeded { .. }), "{err}");
+        let names: Vec<String> = r.list().into_iter().map(|i| i.name).collect();
+        assert_eq!(names, ["a", "boot"], "a failed admission evicted a graph");
+        assert_eq!(r.stats().evictions, 0);
+        assert_eq!(hook_calls.load(Ordering::Relaxed), 0);
     }
 
     #[test]
