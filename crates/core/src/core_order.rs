@@ -20,16 +20,22 @@
 //! order. The segment sort costs `O(d log 65536) = O(d)` for a bucket of
 //! `d ≤ 65,536` entries and radix-sorts larger ones, so the integer path
 //! is `O(m)` work with polylogarithmic span.
+//!
+//! A batch update does not rebuild the order: [`CoreOrder::patch`] keeps
+//! every entry of the vertices whose degree and NO similarities the batch
+//! left alone, and per bucket merges in the new entries of the others,
+//! which are scattered and sorted as the build does. The result is the
+//! Integer build's.
 
 use crate::index::SortStrategy;
-use crate::neighbor_order::NeighborOrder;
+use crate::neighbor_order::{pack_key, unpack_key, NeighborOrder};
 use parscan_graph::{CsrGraph, VertexId};
 use parscan_parallel::pool::num_threads;
 use parscan_parallel::primitives::{par_for, par_for_range, par_map};
 use parscan_parallel::radix::par_sort_segments;
 use parscan_parallel::sort::par_sort_unstable_by;
 use parscan_parallel::utils::SyncMutPtr;
-use parscan_parallel::weighted::weighted_chunk_ranges;
+use parscan_parallel::weighted::{par_for_weighted, weighted_chunk_ranges};
 
 /// Core order: concatenated `CO[μ]` lists for `μ ∈ [2, max_mu]`.
 #[derive(Clone, Debug)]
@@ -51,75 +57,9 @@ impl CoreOrder {
 
     /// Build the core order from the neighbor order.
     pub fn build(g: &CsrGraph, no: &NeighborOrder, strategy: SortStrategy) -> Self {
-        let n = g.num_vertices();
-        let max_mu = g.max_degree() as u32 + 1; // closed degree
-        if max_mu < 2 {
-            return CoreOrder {
-                mu_offsets: vec![0],
-                vertices: Vec::new(),
-                thresholds: Vec::new(),
-            };
-        }
-        // Bucket `i` is `CO[i + 2]`; vertex `v` contributes its `i`-th
-        // NO similarity to every bucket `i < deg(v)`.
-        let n_buckets = (max_mu - 1) as usize;
-        let degrees: Vec<usize> = par_map(n, 2048, |v| g.degree(v as VertexId));
-        let chunks = weighted_chunk_ranges(&degrees, 8 * num_threads());
-
-        // Per chunk, the entries it puts in each bucket it reaches: the
-        // chunk's vertices of degree > i, a suffix sum of its degree
-        // histogram. A chunk's row is as long as its largest degree, so
-        // the rows sum to at most 2m + chunks.
-        let mut cursors: Vec<Vec<usize>> = par_map(chunks.len(), 1, |c| {
-            let span = chunks[c].clone().map(|v| degrees[v]).max().unwrap_or(0);
-            let mut row = vec![0usize; span + 1];
-            for v in chunks[c].clone() {
-                row[degrees[v]] += 1;
-            }
-            for i in (0..span).rev() {
-                row[i] += row[i + 1];
-            }
-            row.remove(0);
-            row
-        });
-        // Bucket sizes are the column sums, and their prefix sums the μ
-        // offsets. Each chunk's row then becomes its write cursors: the
-        // bucket offset plus what earlier chunks put in that bucket.
-        let mut mu_offsets = vec![0usize; n_buckets + 1];
-        for row in &cursors {
-            for (i, &k) in row.iter().enumerate() {
-                mu_offsets[i + 1] += k;
-            }
-        }
-        for i in 0..n_buckets {
-            mu_offsets[i + 1] += mu_offsets[i];
-        }
-        let total = mu_offsets[n_buckets];
+        let (mu_offsets, mut keys) = bucket_keys(g, no, g.num_vertices(), |k| k as VertexId);
+        let total = *mu_offsets.last().expect("at least one offset");
         debug_assert_eq!(total, g.num_slots());
-        let mut next = mu_offsets[..n_buckets].to_vec();
-        for row in &mut cursors {
-            for (i, k) in row.iter_mut().enumerate() {
-                let start = next[i];
-                next[i] += *k;
-                *k = start;
-            }
-        }
-
-        // Stable counting scatter, chunk by chunk in vertex order.
-        let mut keys = vec![0u64; total];
-        let ptr = SyncMutPtr::new(&mut keys);
-        par_for(chunks.len(), 1, |c| {
-            let mut cursor = cursors[c].clone();
-            for v in chunks[c].clone() {
-                let v = v as VertexId;
-                for (i, &t) in no.similarities(g, v).iter().enumerate() {
-                    // SAFETY: the cursors give each (chunk, bucket) pair a
-                    // disjoint in-bounds range, written once per entry.
-                    unsafe { ptr.write(cursor[i], ((!t.to_bits() as u64) << 32) | v as u64) };
-                    cursor[i] += 1;
-                }
-            }
-        });
 
         // Sort each bucket by (threshold desc, id asc). Buckets hold
         // ascending ids, so a stable sort by the high half suffices.
@@ -138,13 +78,106 @@ impl CoreOrder {
         let t_ptr = SyncMutPtr::new(&mut thresholds);
         par_for_range(total, 8192, |r| {
             for k in r {
-                let key = keys[k];
+                let (v, t) = unpack_key(keys[k]);
                 // SAFETY: chunk ranges are disjoint and in bounds.
                 unsafe {
-                    v_ptr.write(k, key as VertexId);
-                    t_ptr.write(k, f32::from_bits(!((key >> 32) as u32)));
+                    v_ptr.write(k, v);
+                    t_ptr.write(k, t);
                 }
             }
+        });
+        CoreOrder {
+            mu_offsets,
+            vertices,
+            thresholds,
+        }
+    }
+
+    /// The order after a batch update, from `self`, the order of `old_g`.
+    /// `g` and `no` are the updated graph and neighbor order; `dirty`
+    /// (ascending) and `is_dirty` (per vertex) mark every vertex whose
+    /// list or scores the batch changed. Any other vertex keeps its
+    /// degree and NO similarities, hence its entry in every bucket. So
+    /// bucket `i` loses the dirty vertices of old degree `> i` and gains
+    /// those of new degree `> i`: its new size follows from the old one,
+    /// and its new contents are one merge of the old entries that are not
+    /// dirty with the dirty vertices' new keys, which are scattered and
+    /// sorted as in [`Self::build`]. Buckets appear or vanish with the
+    /// maximum degree. The result equals `build` with
+    /// [`SortStrategy::Integer`].
+    pub fn patch(
+        &self,
+        old_g: &CsrGraph,
+        g: &CsrGraph,
+        no: &NeighborOrder,
+        dirty: &[VertexId],
+        is_dirty: &[bool],
+    ) -> Self {
+        let (fresh_offsets, mut fresh) = bucket_keys(g, no, dirty.len(), |k| dirty[k]);
+        par_sort_segments(&mut fresh, &fresh_offsets);
+        let old_bucket = |i: usize| bucket(&self.mu_offsets, i);
+        let fresh_bucket = |i: usize| &fresh[bucket(&fresh_offsets, i)];
+
+        // `old_degrees[d]`: dirty vertices of old degree `d`; `lost` walks
+        // down as the count of those of old degree `> i`.
+        let old_buckets = self.mu_offsets.len() - 1;
+        let mut old_degrees = vec![0usize; old_buckets + 1];
+        for &v in dirty {
+            old_degrees[old_g.degree(v)] += 1;
+        }
+        let mut lost = dirty.len() - old_degrees[0];
+        let reach = old_buckets.max(fresh_offsets.len() - 1);
+        let mut sizes = Vec::with_capacity(reach);
+        for i in 0..reach {
+            sizes.push(old_bucket(i).len() + fresh_bucket(i).len() - lost);
+            lost -= old_degrees.get(i + 1).copied().unwrap_or(0);
+        }
+        while sizes.last() == Some(&0) {
+            sizes.pop();
+        }
+        let mut mu_offsets = Vec::with_capacity(sizes.len() + 1);
+        mu_offsets.push(0);
+        for &size in &sizes {
+            mu_offsets.push(mu_offsets.last().unwrap() + size);
+        }
+        let total = *mu_offsets.last().unwrap();
+        debug_assert_eq!(total, g.num_slots());
+
+        let mut vertices = vec![0 as VertexId; total];
+        let mut thresholds = vec![0f32; total];
+        let v_ptr = SyncMutPtr::new(&mut vertices);
+        let t_ptr = SyncMutPtr::new(&mut thresholds);
+        let costs: Vec<usize> = (0..sizes.len())
+            .map(|i| old_bucket(i).len() + sizes[i])
+            .collect();
+        par_for_weighted(&costs, |i| {
+            let old = old_bucket(i);
+            // SAFETY: bucket ranges are disjoint, and bucket `i` is
+            // written only by this iteration.
+            let (out_v, out_t) = unsafe {
+                (
+                    v_ptr.slice_mut(mu_offsets[i], sizes[i]),
+                    t_ptr.slice_mut(mu_offsets[i], sizes[i]),
+                )
+            };
+            let mut out = out_v.iter_mut().zip(out_t.iter_mut());
+            let mut put = |(v, t): (VertexId, f32)| {
+                let (ov, ot) = out.next().expect("a bucket's size covers its entries");
+                (*ov, *ot) = (v, t);
+            };
+            let mut fresh = fresh_bucket(i).iter().copied().peekable();
+            for (&v, &t) in self.vertices[old.clone()].iter().zip(&self.thresholds[old]) {
+                if is_dirty[v as usize] {
+                    continue;
+                }
+                let key = pack_key(t, v);
+                while let Some(earlier) = fresh.next_if(|&f| f < key) {
+                    put(unpack_key(earlier));
+                }
+                put((v, t));
+            }
+            fresh.map(unpack_key).for_each(&mut put);
+            assert!(out.next().is_none(), "bucket {i} was sized wrong");
         });
         CoreOrder {
             mu_offsets,
@@ -244,6 +277,91 @@ impl CoreOrder {
         }
         Ok(())
     }
+}
+
+/// Bucket `i`'s range under `offsets`; empty past the last bucket.
+fn bucket(offsets: &[usize], i: usize) -> std::ops::Range<usize> {
+    match offsets.get(i + 1) {
+        Some(&end) => offsets[i]..end,
+        None => 0..0,
+    }
+}
+
+/// The core-order keys of `count` vertices listed in ascending order by
+/// `vertex(k)`, scattered into their buckets: bucket `i` (`CO[i + 2]`)
+/// gets a [`pack_key`] of every listed vertex of degree `> i`, with its
+/// `i`-th NO similarity, in list order. Returns the bucket offsets (one
+/// bucket per degree up to the largest listed one, so `[0]` when every
+/// listed vertex is isolated) and the keys.
+///
+/// `CO[μ]` holds exactly the vertices of degree `≥ μ - 1`, so a bucket's
+/// size is a suffix sum of the degree histogram. The vertices are cut
+/// into cost-balanced chunks, each chunk's row of per-bucket counts
+/// becomes its write cursors, and one stable counting scatter fills every
+/// bucket.
+fn bucket_keys(
+    g: &CsrGraph,
+    no: &NeighborOrder,
+    count: usize,
+    vertex: impl Fn(usize) -> VertexId + Sync,
+) -> (Vec<usize>, Vec<u64>) {
+    let degrees: Vec<usize> = par_map(count, 2048, |k| g.degree(vertex(k)));
+    let chunks = weighted_chunk_ranges(&degrees, 8 * num_threads());
+
+    // Per chunk, the entries it puts in each bucket it reaches: the
+    // chunk's vertices of degree > i, a suffix sum of its degree
+    // histogram. A chunk's row is as long as its largest degree, so
+    // the rows sum to at most 2m + chunks.
+    let mut cursors: Vec<Vec<usize>> = par_map(chunks.len(), 1, |c| {
+        let span = chunks[c].clone().map(|k| degrees[k]).max().unwrap_or(0);
+        let mut row = vec![0usize; span + 1];
+        for k in chunks[c].clone() {
+            row[degrees[k]] += 1;
+        }
+        for i in (0..span).rev() {
+            row[i] += row[i + 1];
+        }
+        row.remove(0);
+        row
+    });
+    // Bucket sizes are the column sums, and their prefix sums the
+    // offsets. Each chunk's row then becomes its write cursors: the
+    // bucket offset plus what earlier chunks put in that bucket.
+    let n_buckets = cursors.iter().map(Vec::len).max().unwrap_or(0);
+    let mut offsets = vec![0usize; n_buckets + 1];
+    for row in &cursors {
+        for (i, &k) in row.iter().enumerate() {
+            offsets[i + 1] += k;
+        }
+    }
+    for i in 0..n_buckets {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut next = offsets[..n_buckets].to_vec();
+    for row in &mut cursors {
+        for (i, k) in row.iter_mut().enumerate() {
+            let start = next[i];
+            next[i] += *k;
+            *k = start;
+        }
+    }
+
+    // Stable counting scatter, chunk by chunk in list order.
+    let mut keys = vec![0u64; offsets[n_buckets]];
+    let ptr = SyncMutPtr::new(&mut keys);
+    par_for(chunks.len(), 1, |c| {
+        let mut cursor = cursors[c].clone();
+        for k in chunks[c].clone() {
+            let v = vertex(k);
+            for (i, &t) in no.similarities(g, v).iter().enumerate() {
+                // SAFETY: the cursors give each (chunk, bucket) pair a
+                // disjoint in-bounds range, written once per entry.
+                unsafe { ptr.write(cursor[i], pack_key(t, v)) };
+                cursor[i] += 1;
+            }
+        }
+    });
+    (offsets, keys)
 }
 
 #[cfg(test)]

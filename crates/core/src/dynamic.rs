@@ -6,18 +6,30 @@
 //! The key observation: `σ(a, b)` depends only on the closed
 //! neighborhoods of `a` and `b`, so inserting or deleting a batch of
 //! edges with endpoint set `S` changes similarities **only for edges
-//! incident to `S`**. The update therefore
+//! incident to `S`**. The update therefore patches every structure of
+//! the index instead of rebuilding it:
 //!
-//! 1. splices the batch into the CSR (`parscan_graph::patch` — untouched
-//!    adjacency lists are copied wholesale, no global re-sort; inserting
-//!    an existing edge replaces its weight),
-//! 2. recomputes similarities only for edges touching `S` (per-edge
+//! 1. it splices the batch into the CSR (`parscan_graph::patch`):
+//!    untouched adjacency lists are block copies and keep their twins,
+//!    with no global re-sort; inserting an existing edge replaces its
+//!    weight;
+//! 2. it recomputes similarities only for edges touching `S` (per-edge
 //!    sorted merges, in parallel), copying every other score from the old
-//!    index, and
-//! 3. rebuilds the neighbor/core orders (integer sort, the cheap phase).
+//!    index;
+//! 3. one lockstep walk of the old and new scores finds the *dirty*
+//!    vertices — those whose list or any of whose scores changed — and
+//!    the old and new score of every changed edge;
+//! 4. the neighbor order re-sorts only the dirty vertices' lists and
+//!    copies the rest ([`crate::NeighborOrder::patch`]); the core order
+//!    drops the dirty vertices' old entries from each μ bucket and merges
+//!    in their new ones ([`crate::CoreOrder::patch`]); the ε breakpoints
+//!    are the old table minus the scores no slot holds any more, plus the
+//!    new ones.
 //!
-//! For small batches this skips the dominant `O(αm)` similarity phase
-//! almost entirely.
+//! A clean vertex has the same list, NO list and CO entries before and
+//! after, so the work past the `O(n + m)` copies grows with the dirty
+//! vertices' degrees, and the result is bitwise the from-scratch build's
+//! (the `test_support` oracle checks exactly that).
 //!
 //! The serving layer consumes the richer [`apply_batch_diff`] entry
 //! point, which additionally reports **how high the damage reaches**:
@@ -28,11 +40,14 @@
 //! ε-class entirely above that bound is provably still correct and can
 //! survive the update (see `parscan-server`'s engine).
 
-use crate::index::{ScanIndex, SortStrategy};
-use crate::similarity_exact::{open_intersection_value, EdgeSimilarities};
+use crate::index::ScanIndex;
+use crate::similarity_exact::{open_intersection_value, patch_breakpoints, EdgeSimilarities};
 use parscan_graph::{CsrGraph, VertexId};
+use parscan_parallel::filter::pack_index_u32;
+use parscan_parallel::prefix::exclusive_scan_usize;
 use parscan_parallel::primitives::{par_for, par_map};
 use parscan_parallel::utils::SyncMutPtr;
+use parscan_parallel::weighted::par_for_weighted;
 
 /// A batch of edge updates. Weights are ignored on unweighted graphs.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -174,7 +189,7 @@ fn effective_batch(graph: &CsrGraph, batch: &BatchUpdate) -> EffectiveBatch {
 /// Apply a batch of updates to an index, recomputing only affected
 /// similarities. Returns the updated index (the old one is consumed).
 /// An effectively empty batch returns the original index untouched —
-/// no graph splice, no similarity pass, no order rebuild.
+/// no graph splice, no similarity pass, no order patch.
 pub fn apply_batch(index: ScanIndex, batch: &BatchUpdate) -> ScanIndex {
     match apply_batch_diff(&index, batch) {
         Some(outcome) => outcome.index,
@@ -188,6 +203,9 @@ pub fn apply_batch(index: ScanIndex, batch: &BatchUpdate) -> ScanIndex {
 /// batch is effectively empty: every insertion already present (with
 /// the same weight, on weighted graphs), every deletion absent, every
 /// op a self-loop, or the batch literally empty.
+///
+/// The new index's ε breakpoints come patched from `index`'s, which are
+/// computed first if they have not been yet.
 ///
 /// # Panics
 /// Panics if any endpoint is `≥ n` (validate with
@@ -220,13 +238,19 @@ pub fn apply_batch_diff(index: &ScanIndex, batch: &BatchUpdate) -> Option<ApplyO
     }
 
     let sims = incremental_similarities(old_graph, old_sims, &new_graph, &touched, measure);
-    let (max_affected_similarity, changed_edges) =
-        affected_ceiling(old_graph, old_sims, &new_graph, &sims);
-    let index = ScanIndex::from_similarities(new_graph, sims, measure, SortStrategy::Integer);
+    let diff = ScoreDiff::walk(old_graph, old_sims.as_slice(), &new_graph, &sims, &touched);
+    let breakpoints = patch_breakpoints(old_sims.breakpoints(), &sims, &diff.lost, &diff.gained);
+    let sims = EdgeSimilarities::from_per_slot_with_breakpoints(sims, breakpoints);
+    let no = index
+        .neighbor_order()
+        .patch(old_graph, &new_graph, &sims, &diff.dirty);
+    let co = index
+        .core_order()
+        .patch(old_graph, &new_graph, &no, &diff.dirty, &diff.is_dirty);
     Some(ApplyOutcome {
-        index,
-        max_affected_similarity,
-        changed_edges,
+        index: ScanIndex::from_existing_parts(new_graph, sims, no, co, measure),
+        max_affected_similarity: diff.ceiling,
+        changed_edges: diff.changed,
         inserted: eff.inserted,
         deleted: eff.deletions.len(),
         reweighted: eff.reweighted,
@@ -234,14 +258,14 @@ pub fn apply_batch_diff(index: &ScanIndex, batch: &BatchUpdate) -> Option<ApplyO
 }
 
 /// Recompute similarities for edges incident to `touched` vertices; copy
-/// all other scores from the old index.
+/// all other scores from the old index. Returns the per-slot scores.
 fn incremental_similarities(
     old_graph: &CsrGraph,
     old_sims: &EdgeSimilarities,
     new_graph: &CsrGraph,
     touched: &[bool],
     measure: crate::similarity::SimilarityMeasure,
-) -> EdgeSimilarities {
+) -> Vec<f32> {
     let n = new_graph.num_vertices();
     let norms: Option<Vec<f64>> = new_graph
         .is_weighted()
@@ -296,81 +320,182 @@ fn incremental_similarities(
             }
         }
     });
-    EdgeSimilarities::from_per_slot(sims)
+    sims
 }
 
-/// Compare old and new per-edge similarities and report `(θ, changed)`:
-/// the maximum of `max(σ_old, σ_new)` over changed edges — the ceiling
-/// below which clusterings may differ — and how many canonical edges
-/// changed. Edges copied by the incremental pass compare bitwise equal
-/// and contribute nothing, so the merge is cheap: one forward walk over
-/// both adjacency arrays.
-fn affected_ceiling(
-    old_graph: &CsrGraph,
-    old_sims: &EdgeSimilarities,
-    new_graph: &CsrGraph,
-    new_sims: &EdgeSimilarities,
-) -> (Option<f32>, usize) {
-    let n = new_graph.num_vertices();
-    let per_vertex: Vec<(f32, usize)> = par_map(n, 64, |a| {
-        let a = a as VertexId;
-        let old_range = old_graph.slot_range(a);
-        let new_range = new_graph.slot_range(a);
-        let (mut i, mut j) = (old_range.start, new_range.start);
+/// What the batch did to the scores, from one lockstep walk of the old
+/// and new per-slot arrays.
+struct ScoreDiff {
+    /// θ: the maximum of `max(σ_old, σ_new)` over changed edges — the
+    /// ceiling below which clusterings may differ — or `None` when no
+    /// score changed.
+    ceiling: Option<f32>,
+    /// Canonical edges whose score changed, appeared or disappeared.
+    changed: usize,
+    /// Vertices whose list or any of whose scores changed, ascending.
+    dirty: Vec<VertexId>,
+    /// `dirty` as per-vertex flags.
+    is_dirty: Vec<bool>,
+    /// The old scores of the changed edges that existed before.
+    lost: Vec<f32>,
+    /// The new scores of the changed edges that exist after.
+    gained: Vec<f32>,
+}
+
+/// One vertex's share of a [`ScoreDiff`].
+#[derive(Clone, Copy)]
+struct VertexDiff {
+    ceiling: f32,
+    /// Changed canonical edges `(a, b > a)` of this vertex.
+    changed: usize,
+    dirty: bool,
+}
+
+impl ScoreDiff {
+    /// Compare old and new scores per vertex. Scores count as changed
+    /// when their bits differ; edges copied by the incremental pass
+    /// compare equal and contribute nothing. A second pass over the dirty
+    /// vertices alone collects the changed edges' scores, which can only
+    /// sit on dirty vertices.
+    fn walk(
+        old_graph: &CsrGraph,
+        old_sims: &[f32],
+        new_graph: &CsrGraph,
+        new_sims: &[f32],
+        touched: &[bool],
+    ) -> ScoreDiff {
+        let n = new_graph.num_vertices();
+        let per_vertex: Vec<VertexDiff> = par_map(n, 64, |a| {
+            let mut ceiling = f32::NEG_INFINITY;
+            let mut changed = 0usize;
+            let any = diff_vertex(
+                (old_graph, old_sims),
+                (new_graph, new_sims),
+                a as VertexId,
+                touched[a],
+                |o, s| {
+                    let reach = o.into_iter().chain(s).fold(f32::NEG_INFINITY, f32::max);
+                    ceiling = ceiling.max(reach);
+                    changed += 1;
+                },
+            );
+            VertexDiff {
+                ceiling,
+                changed,
+                dirty: touched[a] || any,
+            }
+        });
         let mut ceiling = f32::NEG_INFINITY;
         let mut changed = 0usize;
-        while i < old_range.end && j < new_range.end {
-            let ob = old_graph.slot_neighbor(i);
-            let nb = new_graph.slot_neighbor(j);
-            if ob == nb {
-                if ob > a {
-                    let (o, s) = (old_sims.slot(i), new_sims.slot(j));
-                    if o != s {
-                        ceiling = ceiling.max(o.max(s));
-                        changed += 1;
+        for d in &per_vertex {
+            ceiling = ceiling.max(d.ceiling);
+            changed += d.changed;
+        }
+        let dirty = pack_index_u32(n, |v| per_vertex[v].dirty);
+        let is_dirty = par_map(n, 4096, |v| per_vertex[v].dirty);
+
+        let counts: Vec<usize> = dirty
+            .iter()
+            .map(|&v| per_vertex[v as usize].changed)
+            .collect();
+        let (starts, total) = exclusive_scan_usize(&counts);
+        debug_assert_eq!(total, changed);
+        let mut pairs: Vec<(Option<f32>, Option<f32>)> = vec![(None, None); total];
+        let ptr = SyncMutPtr::new(&mut pairs);
+        par_for_weighted(&counts, |k| {
+            let a = dirty[k];
+            let mut at = starts[k];
+            diff_vertex(
+                (old_graph, old_sims),
+                (new_graph, new_sims),
+                a,
+                touched[a as usize],
+                |o, s| {
+                    // SAFETY: vertex `k` owns `starts[k]..` for its
+                    // `counts[k]` changed edges.
+                    unsafe { ptr.write(at, (o, s)) };
+                    at += 1;
+                },
+            );
+        });
+        ScoreDiff {
+            ceiling: (changed > 0).then_some(ceiling),
+            changed,
+            dirty,
+            is_dirty,
+            lost: pairs.iter().filter_map(|p| p.0).collect(),
+            gained: pairs.iter().filter_map(|p| p.1).collect(),
+        }
+    }
+}
+
+/// Walk `a`'s old and new lists in lockstep and call `on_change(σ_old,
+/// σ_new)` for every canonical edge `(a, b > a)` whose score changed,
+/// with `None` on the side where the edge is absent (deleted edges have
+/// only an old score, inserted ones only a new one). Returns whether any
+/// slot of `a`, canonical or not, changed. An untouched vertex keeps its
+/// list, so its slots pair up position by position.
+fn diff_vertex(
+    (old_graph, old_sims): (&CsrGraph, &[f32]),
+    (new_graph, new_sims): (&CsrGraph, &[f32]),
+    a: VertexId,
+    touched: bool,
+    mut on_change: impl FnMut(Option<f32>, Option<f32>),
+) -> bool {
+    let old_range = old_graph.slot_range(a);
+    let new_range = new_graph.slot_range(a);
+    let mut any = false;
+    if !touched {
+        debug_assert_eq!(old_range.len(), new_range.len());
+        let old = &old_sims[old_range];
+        let new = &new_sims[new_range.clone()];
+        for (k, (o, s)) in old.iter().zip(new).enumerate() {
+            if o.to_bits() != s.to_bits() {
+                any = true;
+                if new_graph.slot_neighbor(new_range.start + k) > a {
+                    on_change(Some(*o), Some(*s));
+                }
+            }
+        }
+        return any;
+    }
+    let (mut i, mut j) = (old_range.start, new_range.start);
+    loop {
+        let ob = (i < old_range.end).then(|| old_graph.slot_neighbor(i));
+        let nb = (j < new_range.end).then(|| new_graph.slot_neighbor(j));
+        let deleted = match (ob, nb) {
+            (None, None) => break,
+            (Some(x), Some(y)) if x == y => {
+                let (o, s) = (old_sims[i], new_sims[j]);
+                i += 1;
+                j += 1;
+                if o.to_bits() != s.to_bits() {
+                    any = true;
+                    if x > a {
+                        on_change(Some(o), Some(s));
                     }
                 }
-                i += 1;
-                j += 1;
-            } else if ob < nb {
-                if ob > a {
-                    // Deleted edge: its old score is the reach of its loss.
-                    ceiling = ceiling.max(old_sims.slot(i));
-                    changed += 1;
-                }
-                i += 1;
-            } else {
-                if nb > a {
-                    // Inserted edge: its new score is the reach of its gain.
-                    ceiling = ceiling.max(new_sims.slot(j));
-                    changed += 1;
-                }
-                j += 1;
+                continue;
             }
-        }
-        while i < old_range.end {
-            if old_graph.slot_neighbor(i) > a {
-                ceiling = ceiling.max(old_sims.slot(i));
-                changed += 1;
-            }
+            (Some(x), Some(y)) => x < y,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+        };
+        // A deleted edge's old score is the reach of its loss, an
+        // inserted edge's new score the reach of its gain.
+        let (b, o, s) = if deleted {
             i += 1;
-        }
-        while j < new_range.end {
-            if new_graph.slot_neighbor(j) > a {
-                ceiling = ceiling.max(new_sims.slot(j));
-                changed += 1;
-            }
+            (ob.unwrap(), Some(old_sims[i - 1]), None)
+        } else {
             j += 1;
+            (nb.unwrap(), None, Some(new_sims[j - 1]))
+        };
+        any = true;
+        if b > a {
+            on_change(o, s);
         }
-        (ceiling, changed)
-    });
-    let mut ceiling = f32::NEG_INFINITY;
-    let mut changed = 0usize;
-    for &(c, k) in &per_vertex {
-        ceiling = ceiling.max(c);
-        changed += k;
     }
-    ((changed > 0).then_some(ceiling), changed)
+    any
 }
 
 #[cfg(test)]
@@ -378,8 +503,12 @@ mod tests {
     use super::*;
     use crate::index::{ExactStrategy, IndexConfig};
     use crate::query::{BorderAssignment, QueryParams};
-    use crate::test_support::assert_arbitrary_clusterings_agree;
+    use crate::similarity::SimilarityMeasure;
+    use crate::test_support::{
+        assert_arbitrary_clusterings_agree, assert_index_equivalent, oracle_config, rebuild_oracle,
+    };
     use parscan_graph::generators;
+    use parscan_parallel::utils::hash64;
 
     fn rebuild_config() -> IndexConfig {
         // Full-merge matches the per-edge recompute path bit for bit.
@@ -561,5 +690,145 @@ mod tests {
         assert_eq!(outcome.index.graph().num_edges(), index.graph().num_edges());
         let ns = outcome.index.graph().slot_of(u, v).unwrap();
         assert_eq!(outcome.index.graph().slot_weight(ns), w + 1.0);
+    }
+
+    /// Apply `batch` to `index` and demand the from-scratch oracle's
+    /// index, breakpoints included; returns the patched index.
+    fn apply_and_check(index: ScanIndex, batch: &BatchUpdate) -> ScanIndex {
+        let oracle = rebuild_oracle(index.graph(), batch, index.measure());
+        let updated = apply_batch(index, batch);
+        assert_index_equivalent(&updated, &oracle, 0.0);
+        updated
+    }
+
+    fn base(g: CsrGraph) -> ScanIndex {
+        ScanIndex::build(g, oracle_config(SimilarityMeasure::Cosine))
+    }
+
+    #[test]
+    fn eight_chained_batches_match_a_rebuild_after_each() {
+        let (g, _) = generators::weighted_planted_partition(300, 6, 9.0, 2.0, 21);
+        let mut draw = 0u64;
+        let mut below = |bound: usize| {
+            draw += 1;
+            (hash64(draw) % bound as u64) as usize
+        };
+        let mut index = base(g);
+        for round in 0..8u32 {
+            let edges: Vec<(u32, u32)> = index
+                .graph()
+                .canonical_edges()
+                .map(|(u, v, _)| (u, v))
+                .collect();
+            let batch = BatchUpdate {
+                insertions: (0..12)
+                    .map(|i| {
+                        let (u, v) = (below(300) as u32, below(300) as u32);
+                        (u, v, (round * 12 + i + 1) as f32 / 100.0)
+                    })
+                    .collect(),
+                deletions: (0..10).map(|_| edges[below(edges.len())]).collect(),
+            };
+            index = apply_and_check(index, &batch);
+        }
+    }
+
+    #[test]
+    fn a_small_batch_on_a_large_graph_copies_the_clean_vertices() {
+        let (g, _) = generators::weighted_planted_partition(5_000, 100, 12.0, 2.0, 8);
+        let m = g.num_edges();
+        let (a, b, _) = g.canonical_edges().nth(m / 3).unwrap();
+        let (c, d, _) = g.canonical_edges().nth(2 * m / 3).unwrap();
+        let batch = BatchUpdate {
+            insertions: vec![(7, 4_021, 0.6), (1_234, 3_999, 0.3)],
+            deletions: vec![(a, b), (c, d)],
+        };
+        let index = base(g);
+        let outcome = apply_batch_diff(&index, &batch).expect("the batch changes edges");
+        assert!(
+            outcome.changed_edges < m / 50,
+            "a 4-edge batch changed {} of {m} scores",
+            outcome.changed_edges
+        );
+        apply_and_check(index, &batch);
+    }
+
+    #[test]
+    fn a_dirty_hub_above_the_segment_threshold_is_radix_sorted() {
+        let g = crate::test_support::star_with_leaf_edges(70_000, 100_000, 3);
+        assert!(g.max_degree() > 1 << 16);
+        let leaf = g.neighbors(5)[1];
+        let batch = BatchUpdate {
+            insertions: vec![(11, 60_123, 1.0), (0, 0, 1.0)],
+            deletions: vec![(0, 17), (5, leaf)],
+        };
+        apply_and_check(base(g), &batch);
+    }
+
+    #[test]
+    fn the_maximum_degree_grows_shrinks_and_vanishes() {
+        let g = generators::erdos_renyi(60, 200, 4);
+        let mut index = base(g);
+        let max = |index: &ScanIndex| index.graph().max_degree();
+
+        // Grow: one vertex gains edges to every other vertex.
+        let before = max(&index);
+        let spokes: Vec<(u32, u32)> = (1..60).map(|v| (0, v)).collect();
+        index = apply_and_check(index, &BatchUpdate::insert(&spokes));
+        assert_eq!(max(&index), 59);
+        assert!(before < 59);
+
+        // Shrink: empty that vertex again.
+        index = apply_and_check(index, &BatchUpdate::delete(&spokes));
+        assert_eq!(index.graph().degree(0), 0);
+        assert!(max(&index) < 59);
+
+        // Vanish: delete every edge, then insert into the edgeless graph.
+        let all: Vec<(u32, u32)> = index
+            .graph()
+            .canonical_edges()
+            .map(|(u, v, _)| (u, v))
+            .collect();
+        index = apply_and_check(index, &BatchUpdate::delete(&all));
+        assert_eq!(index.graph().num_edges(), 0);
+        assert_eq!(index.core_order().parts().0, &[0]);
+        assert!(index.similarities().breakpoints().is_empty());
+        index = apply_and_check(
+            index,
+            &BatchUpdate::insert(&[(3, 4), (4, 5), (3, 5), (9, 3)]),
+        );
+        assert_eq!(max(&index), 3);
+    }
+
+    #[test]
+    fn breakpoints_keep_a_score_another_edge_holds_and_drop_a_vanished_one() {
+        // Two equal paths 0-1-2-3 and 4-5-6-7, and a star 8-{9, 10, 11}.
+        // Both middle edges score 2/3 and every star edge 1/√2. Deleting
+        // (0, 1) moves (1, 2) off 2/3 while (5, 6) keeps it; deleting
+        // (8, 9) moves every star edge off 1/√2, which no edge holds after.
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (8, 9),
+            (8, 10),
+            (8, 11),
+        ];
+        let index = base(parscan_graph::from_edges(12, &edges));
+        let sims = index.similarities();
+        let middle = sims.of_edge(index.graph(), 1, 2).unwrap();
+        let spoke = sims.of_edge(index.graph(), 8, 9).unwrap();
+        let has = |index: &ScanIndex, x: f32| index.similarities().breakpoints().contains(&x);
+        assert!(has(&index, middle) && has(&index, spoke));
+
+        let updated = apply_and_check(index, &BatchUpdate::delete(&[(0, 1), (8, 9)]));
+        let new_sims = updated.similarities();
+        assert_ne!(new_sims.of_edge(updated.graph(), 1, 2), Some(middle));
+        assert_eq!(new_sims.of_edge(updated.graph(), 5, 6), Some(middle));
+        assert!(has(&updated, middle), "(5, 6) still holds 2/3");
+        assert!(!has(&updated, spoke), "no edge holds 1/√2 any more");
     }
 }

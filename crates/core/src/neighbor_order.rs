@@ -17,13 +17,35 @@
 //!   `d ≤ 65,536` costs `O(d log 65536) = O(d)` and a larger one is
 //!   radix-sorted, so the build keeps Thm 4.2's `O(m)` work and
 //!   polylogarithmic span.
+//!
+//! A batch update does not rebuild the order: [`NeighborOrder::patch`]
+//! copies the lists of the vertices whose neighbors and scores the batch
+//! left alone and re-sorts only the others, with the Integer path's keys
+//! and segment sort, so the result is the Integer build's.
 
 use crate::index::SortStrategy;
 use crate::similarity_exact::EdgeSimilarities;
+use parscan_graph::patch::clean_pieces;
 use parscan_graph::{CsrGraph, VertexId};
+use parscan_parallel::prefix::exclusive_scan_usize;
 use parscan_parallel::primitives::{par_for, par_for_range, par_map};
 use parscan_parallel::radix::par_sort_segments;
 use parscan_parallel::utils::SyncMutPtr;
+use parscan_parallel::weighted::par_for_weighted;
+
+/// The sort key of a (similarity, vertex) entry, shared by NO and CO:
+/// ascending keys put higher similarities first (complemented bits of a
+/// non-negative float), then lower ids.
+#[inline]
+pub(crate) fn pack_key(sim: f32, v: VertexId) -> u64 {
+    ((!sim.to_bits() as u64) << 32) | v as u64
+}
+
+/// The inverse of [`pack_key`].
+#[inline]
+pub(crate) fn unpack_key(key: u64) -> (VertexId, f32) {
+    (key as VertexId, f32::from_bits(!((key >> 32) as u32)))
+}
 
 /// Neighbor order: per-vertex neighbor/similarity arrays sorted by
 /// (similarity desc, neighbor id asc), sharing the graph's offsets.
@@ -78,9 +100,8 @@ impl NeighborOrder {
         // Ascending high halves put higher similarities first
         // (complemented bits). CSR lists are neighbor-ascending and the
         // segment sort is stable, so ties keep ascending neighbor order.
-        let mut keys: Vec<u64> = par_map(slots, 8192, |s| {
-            ((!sims.slot(s).to_bits() as u64) << 32) | g.slot_neighbor(s) as u64
-        });
+        let mut keys: Vec<u64> =
+            par_map(slots, 8192, |s| pack_key(sims.slot(s), g.slot_neighbor(s)));
         let (offsets, _, _) = g.parts();
         par_sort_segments(&mut keys, offsets);
         let mut nbr = vec![0 as VertexId; slots];
@@ -89,11 +110,78 @@ impl NeighborOrder {
         let sim_ptr = SyncMutPtr::new(&mut sim);
         par_for_range(slots, 8192, |r| {
             for k in r {
-                let key = keys[k];
+                let (x, sim) = unpack_key(keys[k]);
                 // SAFETY: chunk ranges are disjoint and in bounds.
                 unsafe {
-                    nbr_ptr.write(k, key as VertexId);
-                    sim_ptr.write(k, f32::from_bits(!((key >> 32) as u32)));
+                    nbr_ptr.write(k, x);
+                    sim_ptr.write(k, sim);
+                }
+            }
+        });
+        NeighborOrder { nbr, sim }
+    }
+
+    /// The order after a batch update, from `self`, the order of `old_g`.
+    /// `g` and `sims` are the updated graph and scores, and `dirty`
+    /// (ascending) holds every vertex whose list or scores the batch
+    /// changed. Any other vertex has the same list and scores before and
+    /// after, hence the same NO list, so runs of them are block copies.
+    /// The dirty lists are gathered as packed keys, one segment per
+    /// vertex, and sorted with [`par_sort_segments`], so a dirty hub above
+    /// 65,536 neighbors gets the whole-pool radix as in the build. The
+    /// result equals [`Self::build`] with [`SortStrategy::Integer`].
+    pub fn patch(
+        &self,
+        old_g: &CsrGraph,
+        g: &CsrGraph,
+        sims: &EdgeSimilarities,
+        dirty: &[VertexId],
+    ) -> Self {
+        let slots = g.num_slots();
+        let (old_offsets, _, _) = old_g.parts();
+        let (offsets, _, _) = g.parts();
+        let mut nbr = vec![0 as VertexId; slots];
+        let mut sim = vec![0f32; slots];
+        let nbr_ptr = SyncMutPtr::new(&mut nbr);
+        let sim_ptr = SyncMutPtr::new(&mut sim);
+        let pieces = clean_pieces(old_offsets, offsets, dirty);
+        par_for(pieces.len(), 1, |p| {
+            let (old, new, len) = pieces[p];
+            // SAFETY: pieces cover disjoint ranges of clean lists, which
+            // nothing else writes.
+            unsafe {
+                nbr_ptr
+                    .slice_mut(new, len)
+                    .copy_from_slice(&self.nbr[old..old + len]);
+                sim_ptr
+                    .slice_mut(new, len)
+                    .copy_from_slice(&self.sim[old..old + len]);
+            }
+        });
+
+        let degrees: Vec<usize> = par_map(dirty.len(), 1024, |k| g.degree(dirty[k]));
+        let (mut segments, total) = exclusive_scan_usize(&degrees);
+        segments.push(total);
+        let mut keys = vec![0u64; total];
+        let key_ptr = SyncMutPtr::new(&mut keys);
+        par_for_weighted(&degrees, |k| {
+            for (i, s) in g.slot_range(dirty[k]).enumerate() {
+                // SAFETY: segment `k` is this vertex's alone.
+                unsafe {
+                    key_ptr.write(segments[k] + i, pack_key(sims.slot(s), g.slot_neighbor(s)))
+                };
+            }
+        });
+        par_sort_segments(&mut keys, &segments);
+        par_for_weighted(&degrees, |k| {
+            let start = offsets[dirty[k] as usize];
+            for (i, &key) in keys[segments[k]..segments[k + 1]].iter().enumerate() {
+                let (x, s) = unpack_key(key);
+                // SAFETY: a dirty vertex's range is written only here, by
+                // its own iteration.
+                unsafe {
+                    nbr_ptr.write(start + i, x);
+                    sim_ptr.write(start + i, s);
                 }
             }
         });

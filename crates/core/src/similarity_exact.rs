@@ -32,6 +32,7 @@ use parscan_parallel::hashtable::{ConcurrentMapU64, ConcurrentSetU64};
 use parscan_parallel::primitives::{par_for, par_for_range, par_map};
 use parscan_parallel::utils::{ScratchPool, SyncMutPtr};
 use parscan_parallel::weighted::par_for_weighted_range;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-slot similarity scores aligned with a graph's CSR slots.
 #[derive(Clone, Debug)]
@@ -40,8 +41,9 @@ pub struct EdgeSimilarities {
     /// Sorted distinct similarity values — the ε-breakpoints that
     /// quantize queries in the serving layer. Computed lazily on first
     /// use (instances are immutable after construction; updates build
-    /// fresh instances), or restored directly from an index snapshot so
-    /// a warm boot never re-sorts.
+    /// fresh instances), restored directly from an index snapshot so a
+    /// warm boot never re-sorts, or patched from the previous instance's
+    /// table by a batch update.
     breakpoints: std::sync::OnceLock<Vec<f32>>,
 }
 
@@ -56,8 +58,9 @@ impl EdgeSimilarities {
     }
 
     /// Wrap a per-slot array together with its precomputed breakpoints
-    /// (the index-snapshot restore path). The caller asserts `breakpoints`
-    /// is exactly the sorted distinct values of `per_slot`.
+    /// (the index-snapshot restore path and the batch update's patched
+    /// table). The caller asserts `breakpoints` is exactly the sorted
+    /// distinct values of `per_slot`.
     pub fn from_per_slot_with_breakpoints(per_slot: Vec<f32>, breakpoints: Vec<f32>) -> Self {
         let cell = std::sync::OnceLock::new();
         let _ = cell.set(breakpoints);
@@ -107,6 +110,118 @@ impl EdgeSimilarities {
     pub fn of_edge(&self, g: &CsrGraph, u: VertexId, v: VertexId) -> Option<f32> {
         g.slot_of(u, v).map(|s| self.per_slot[s])
     }
+}
+
+/// The breakpoints of `per_slot` (its sorted distinct values) from
+/// `old`, the breakpoints of an earlier per-slot array that differs from
+/// `per_slot` only on some changed edges: `lost` holds the earlier scores
+/// of those that existed before, and `gained` the scores of those that
+/// exist now.
+///
+/// A value of `old` that no changed edge held is still held by an
+/// unchanged slot, and one that a changed edge gained is held by it, so
+/// only the other lost values can leave the table. One parallel scan of
+/// `per_slot` ([`still_held`]) decides which of them some slot still
+/// holds; the rest are dropped and the gained values merged in. The
+/// result is bitwise what sorting `per_slot` from scratch gives.
+///
+/// # Panics
+/// Panics if a lost value is not in `old`.
+pub(crate) fn patch_breakpoints(
+    old: &[f32],
+    per_slot: &[f32],
+    lost: &[f32],
+    gained: &[f32],
+) -> Vec<f32> {
+    let sorted_bits = |values: &[f32]| {
+        let mut bits: Vec<u32> = par_map(values.len(), 8192, |i| values[i].to_bits());
+        parscan_parallel::radix::par_radix_sort_by_key(&mut bits, |&b| b as u64, None);
+        bits.dedup();
+        bits
+    };
+    let gained = sorted_bits(gained);
+    let mut candidates = sorted_bits(lost);
+    candidates.retain(|c| gained.binary_search(c).is_err());
+    let held = still_held(per_slot, &candidates);
+    let mut removed = candidates
+        .iter()
+        .zip(held)
+        .filter_map(|(&c, held)| (!held).then_some(c))
+        .peekable();
+    let mut gained = gained.into_iter().peekable();
+
+    // Copy `old` in blocks between the edits: each removal skips its
+    // entry, each gain is inserted unless `old` already has it. A
+    // galloping search finds the next edit's place, so dense edits cost
+    // a merge and sparse ones a few binary searches.
+    let mut table = Vec::with_capacity(old.len() + gained.len());
+    let mut at = 0usize;
+    loop {
+        let next = match (removed.peek(), gained.peek()) {
+            (None, None) => break,
+            (Some(&r), Some(&g)) => r.min(g),
+            (Some(&r), None) => r,
+            (None, Some(&g)) => g,
+        };
+        let end = at + gallop(&old[at..], |x| x.to_bits() < next);
+        table.extend_from_slice(&old[at..end]);
+        at = end;
+        let present = old.get(at).is_some_and(|x| x.to_bits() == next);
+        if removed.next_if_eq(&next).is_some() {
+            assert!(present, "a lost score is missing from the old breakpoints");
+        } else {
+            gained.next();
+            table.push(f32::from_bits(next));
+        }
+        if present {
+            at += 1;
+        }
+    }
+    table.extend_from_slice(&old[at..]);
+    table
+}
+
+/// `slice.partition_point(below)` by galloping from the front: `O(log i)`
+/// for an answer `i`.
+fn gallop<T>(slice: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let mut hi = 1usize;
+    while hi < slice.len() && below(&slice[hi - 1]) {
+        hi *= 2;
+    }
+    let (lo, hi) = (hi / 2, hi.min(slice.len()));
+    lo + slice[lo..hi].partition_point(below)
+}
+
+/// Which of `candidates` (sorted, distinct bit patterns) some value of
+/// `per_slot` holds. One parallel scan; a one-hash bitmap of 16 to 32
+/// bits per candidate turns away most values before the exact check.
+fn still_held(per_slot: &[f32], candidates: &[u32]) -> Vec<bool> {
+    if candidates.is_empty() {
+        return Vec::new();
+    }
+    let bits = (16 * candidates.len()).next_power_of_two().max(64);
+    let shift = 64 - bits.trailing_zeros();
+    let hash = |x: u32| ((x as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+    let mut filter = vec![0u64; bits / 64];
+    for &c in candidates {
+        let h = hash(c);
+        filter[h / 64] |= 1 << (h % 64);
+    }
+    let held: Vec<AtomicBool> = candidates.iter().map(|_| AtomicBool::new(false)).collect();
+    par_for_range(per_slot.len(), 1 << 14, |r| {
+        for x in &per_slot[r] {
+            let (b, h) = (x.to_bits(), hash(x.to_bits()));
+            if filter[h / 64] >> (h % 64) & 1 == 0 {
+                continue;
+            }
+            if let Ok(i) = candidates.binary_search(&b) {
+                if !held[i].load(Ordering::Relaxed) {
+                    held[i].store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    });
+    held.into_iter().map(AtomicBool::into_inner).collect()
 }
 
 /// The paper's merge-based triangle-counting strategy (§6.1), with a
@@ -578,6 +693,27 @@ mod tests {
             for s in 0..g.num_slots() {
                 assert!((sims.slot(s) - 1.0).abs() < 1e-6);
             }
+        }
+    }
+
+    #[test]
+    fn patched_breakpoints_equal_a_fresh_sort() {
+        use parscan_parallel::utils::hash64;
+        // Few distinct values, so scores repeat across slots; each round
+        // changes a share of the slots, from sparse to nearly all.
+        let value = |i: u64| (hash64(i) % 300) as f32 / 256.0;
+        let mut per_slot: Vec<f32> = (0..20_000).map(value).collect();
+        for (round, stride) in [997usize, 31, 3, 1].into_iter().enumerate() {
+            let old = EdgeSimilarities::from_per_slot(per_slot.clone());
+            let (mut lost, mut gained) = (Vec::new(), Vec::new());
+            for s in (0..per_slot.len()).step_by(stride) {
+                lost.push(per_slot[s]);
+                per_slot[s] = value((1 << 20) + (round * per_slot.len() + s) as u64);
+                gained.push(per_slot[s]);
+            }
+            let fresh = EdgeSimilarities::from_per_slot(per_slot.clone());
+            let patched = patch_breakpoints(old.breakpoints(), &per_slot, &lost, &gained);
+            assert_eq!(patched, fresh.breakpoints(), "stride {stride}");
         }
     }
 

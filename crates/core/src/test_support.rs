@@ -114,9 +114,9 @@ pub fn rebuild_oracle(
 }
 
 /// Assert full structural equivalence of two indexes: identical graphs,
-/// per-slot similarities within `tol`, and *identical* neighbor/core
-/// orders (deterministic radix sorts over equal scores leave no room
-/// for legitimate divergence).
+/// per-slot similarities within `tol`, *identical* neighbor/core orders
+/// (deterministic radix sorts over equal scores leave no room for
+/// legitimate divergence) and bitwise identical ε breakpoint tables.
 ///
 /// # Panics
 /// Panics with a slot-level diagnostic on the first difference.
@@ -143,6 +143,11 @@ pub fn assert_index_equivalent(actual: &ScanIndex, expected: &ScanIndex, tol: f6
     assert_eq!(a_off, e_off, "core-order μ offsets differ");
     assert_eq!(a_vert, e_vert, "core-order vertex permutations differ");
     assert_eq!(a_thr, e_thr, "core-order thresholds differ");
+    let bits = |index: &ScanIndex| -> Vec<u32> {
+        let breakpoints = index.similarities().breakpoints();
+        breakpoints.iter().map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(bits(actual), bits(expected), "ε breakpoints differ");
 }
 
 /// Assert that both indexes answer an entire `(μ, ε)` grid alike: equal

@@ -276,7 +276,8 @@ impl CsrGraph {
         })
     }
 
-    /// Check all structural invariants; returns a description on failure.
+    /// Check all structural invariants, the twin permutation included;
+    /// returns a description on failure.
     pub fn validate(&self) -> Result<(), String> {
         if self.offsets.is_empty() {
             return Err("offsets must have length n + 1 >= 1".into());
@@ -289,46 +290,51 @@ impl CsrGraph {
                 return Err("weights length must match neighbors".into());
             }
         }
-        let n = self.num_vertices();
-        for v in 0..n as VertexId {
-            let range = self.slot_range(v);
-            if range.start > range.end {
-                return Err(format!("offsets not monotone at vertex {v}"));
-            }
-            let list = &self.neighbors[range];
-            for (i, &x) in list.iter().enumerate() {
-                if x as usize >= n {
-                    return Err(format!("neighbor {x} of {v} out of range"));
-                }
-                if x == v {
-                    return Err(format!("self-loop at vertex {v}"));
-                }
-                if i > 0 && list[i - 1] >= x {
-                    return Err(format!("neighbors of {v} not strictly sorted"));
-                }
-            }
-        }
-        // Symmetry (and weight symmetry).
-        for v in 0..n as VertexId {
-            let range = self.slot_range(v);
-            for s in range {
-                let x = self.neighbors[s];
-                match self.slot_of(x, v) {
-                    None => return Err(format!("edge ({v},{x}) missing twin")),
-                    Some(t) => {
-                        if let Some(w) = &self.weights {
-                            if (w[s] - w[t]).abs() > 1e-6 {
-                                return Err(format!("asymmetric weight on ({v},{x})"));
-                            }
-                        }
-                    }
-                }
-            }
+        if let Some(v) = (0..self.num_vertices()).find(|&v| self.offsets[v] > self.offsets[v + 1]) {
+            return Err(format!("offsets not monotone at vertex {v}"));
         }
         if !self.neighbors.len().is_multiple_of(2) {
             return Err("odd number of slots".into());
         }
-        Ok(())
+        let all: Vec<VertexId> = (0..self.num_vertices() as VertexId).collect();
+        self.check_lists(&all)
+    }
+
+    /// Check the lists of `vertices` and the twin pairs of their slots:
+    /// each list strictly sorted, in range and free of self-loops, and
+    /// each of its slots `s` paired with a slot `t = twin(s)` in the
+    /// neighbor's list that points back, with `twin(t) == s` and the same
+    /// weight. `O(Σ deg)` over `vertices`: what a patch checks of the
+    /// lists it rewrote, and [`Self::validate`] of every list.
+    pub(crate) fn check_lists(&self, vertices: &[VertexId]) -> Result<(), String> {
+        let n = self.num_vertices();
+        let errors = parscan_parallel::filter::filter_map_index(vertices.len(), |k| {
+            let v = vertices[k];
+            let list = self.neighbors(v);
+            for (s, (i, &x)) in self.slot_range(v).zip(list.iter().enumerate()) {
+                if x as usize >= n {
+                    return Some(format!("neighbor {x} of {v} out of range"));
+                }
+                if x == v {
+                    return Some(format!("self-loop at vertex {v}"));
+                }
+                if i > 0 && list[i - 1] >= x {
+                    return Some(format!("neighbors of {v} not strictly sorted"));
+                }
+                let t = self.twins[s] as usize;
+                if !self.slot_range(x).contains(&t)
+                    || self.neighbors[t] != v
+                    || self.twins[t] as usize != s
+                {
+                    return Some(format!("edge ({v},{x}) has no twin"));
+                }
+                if (self.slot_weight(s) - self.slot_weight(t)).abs() > 1e-6 {
+                    return Some(format!("asymmetric weight on ({v},{x})"));
+                }
+            }
+            None
+        });
+        errors.into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Total weight `W = Σ_e w(e)` (equals `m` for unweighted graphs).

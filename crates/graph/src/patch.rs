@@ -1,13 +1,24 @@
-//! In-place-style batch patching of a CSR graph: splice a small set of
-//! edge insertions/deletions into an existing graph *without* re-sorting
-//! all `2m` directed entries. Untouched adjacency lists are copied
-//! wholesale; touched lists are rebuilt by a linear three-way merge of
-//! (old list, sorted insertions, sorted deletions).
+//! Batch patching of a CSR graph: splice a small set of edge
+//! insertions/deletions into an existing graph *without* re-sorting all
+//! `2m` directed entries or re-deriving the twin permutation.
+//!
+//! A vertex is *touched* when the batch changes its list. Every other
+//! list is unchanged, and the untouched vertices between two touched ones
+//! form a run whose slots all shift by one constant, so their neighbors
+//! and weights are block copies ([`clean_pieces`]). A slot pointing into
+//! an untouched list takes its twin from the old twin plus that list's
+//! shift. Touched lists are rebuilt by a linear three-way merge of (old
+//! list, sorted insertions, sorted deletions), and only the slots that
+//! point into a touched list binary-search it for their twin.
+//!
+//! The graph is assembled without the `O(n + m)` validate-and-twin pass
+//! of [`CsrGraph::try_from_parts`] (debug builds still run it). What the
+//! patch writes fresh — the touched lists and the twins of their slots —
+//! is checked in release builds too, at `O(Σ deg(touched))`.
 //!
 //! This is the graph-side half of the dynamic-index extension
-//! (`parscan_core::dynamic`): rebuilding the CSR from an edge list costs a
-//! full parallel radix sort, which dominates small-batch updates; patching
-//! costs `O(n + m)` copying plus `O(Δ log Δ)` for the batch itself.
+//! (`parscan_core::dynamic`), which copies the neighbor order's clean
+//! runs with the same [`clean_pieces`].
 //!
 //! Semantics (matching `BatchUpdate`): self-loops are ignored; deleting an
 //! absent edge is a no-op; inserting an existing edge *replaces its
@@ -18,6 +29,14 @@ use crate::csr::{CsrGraph, VertexId};
 use parscan_parallel::prefix::exclusive_scan_usize;
 use parscan_parallel::primitives::{par_for, par_map};
 use parscan_parallel::utils::SyncMutPtr;
+use parscan_parallel::weighted::par_for_weighted;
+
+/// Longest block copy [`clean_pieces`] hands out, so that one long run of
+/// untouched vertices still splits across threads.
+const PIECE_SLOTS: usize = 1 << 16;
+
+/// A list's shift in [`patch`]'s `moved` table when the list was rebuilt.
+const REBUILT: i64 = i64::MIN;
 
 /// Per-vertex view of the batch: directed delta entries, owner-major.
 struct Deltas {
@@ -60,6 +79,15 @@ impl Deltas {
         Deltas { ins, del }
     }
 
+    /// The touched vertices, ascending.
+    fn owners(&self) -> Vec<VertexId> {
+        let ins = self.ins.iter().map(|&(a, _, _)| a);
+        let mut owners: Vec<VertexId> = ins.chain(self.del.iter().map(|&(a, _)| a)).collect();
+        owners.sort_unstable();
+        owners.dedup();
+        owners
+    }
+
     fn ins_range(&self, v: VertexId) -> &[(VertexId, VertexId, f32)] {
         let lo = self.ins.partition_point(|&(a, _, _)| a < v);
         let hi = self.ins.partition_point(|&(a, _, _)| a <= v);
@@ -72,63 +100,91 @@ impl Deltas {
         &self.del[lo..hi]
     }
 
-    fn touches(&self, v: VertexId) -> bool {
-        !self.ins_range(v).is_empty() || !self.del_range(v).is_empty()
+    /// Walk `v`'s patched adjacency, invoking `emit(neighbor, weight,
+    /// old_slot)` in ascending-neighbor order, where `old_slot` is the
+    /// edge's slot in `g` unless the batch inserts it (a weight
+    /// replacement keeps its slot). Linear in `deg + Δ_v`.
+    fn merge<F: FnMut(VertexId, f32, Option<usize>)>(
+        &self,
+        g: &CsrGraph,
+        v: VertexId,
+        mut emit: F,
+    ) {
+        let (ins, del) = (self.ins_range(v), self.del_range(v));
+        let range = g.slot_range(v);
+        let mut i = range.start;
+        let mut j = 0usize;
+        let mut k = 0usize;
+        loop {
+            let old_nbr = (i < range.end).then(|| g.slot_neighbor(i));
+            let ins_nbr = ins.get(j).map(|&(_, b, _)| b);
+            // Which side advances: the smaller neighbor id; ties mean the
+            // insertion replaces the existing edge's weight.
+            let take_old = match (old_nbr, ins_nbr) {
+                (Some(x), Some(y)) if x == y => {
+                    emit(y, ins[j].2, Some(i));
+                    i += 1;
+                    j += 1;
+                    continue;
+                }
+                (Some(x), Some(y)) => x < y,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if take_old {
+                let x = old_nbr.expect("old side present");
+                while k < del.len() && del[k].1 < x {
+                    k += 1;
+                }
+                if k < del.len() && del[k].1 == x {
+                    k += 1; // deleted
+                } else {
+                    emit(x, g.slot_weight(i), Some(i));
+                }
+                i += 1;
+            } else {
+                emit(ins_nbr.expect("insert side present"), ins[j].2, None);
+                j += 1;
+            }
+        }
     }
 }
 
-/// Walk one vertex's patched adjacency, invoking `emit(neighbor, weight)`
-/// in ascending-neighbor order. Linear in `deg + Δ_v`.
-fn merge_vertex<F: FnMut(VertexId, f32)>(
-    g: &CsrGraph,
-    v: VertexId,
-    ins: &[(VertexId, VertexId, f32)],
-    del: &[(VertexId, VertexId)],
-    mut emit: F,
-) {
-    let range = g.slot_range(v);
-    let mut i = range.start;
-    let mut j = 0usize;
-    let mut k = 0usize;
-    loop {
-        let old_nbr = (i < range.end).then(|| g.slot_neighbor(i));
-        let ins_nbr = ins.get(j).map(|&(_, b, _)| b);
-        // Which side advances: the smaller neighbor id; ties mean the
-        // insertion replaces the existing edge's weight.
-        let take_old = match (old_nbr, ins_nbr) {
-            (Some(x), Some(y)) if x == y => {
-                emit(y, ins[j].2);
-                i += 1;
-                j += 1;
-                continue;
-            }
-            (Some(x), Some(y)) => x < y,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        if take_old {
-            let x = old_nbr.expect("old side present");
-            while k < del.len() && del[k].1 < x {
-                k += 1;
-            }
-            if k < del.len() && del[k].1 == x {
-                k += 1; // deleted
-            } else {
-                emit(x, g.slot_weight(i));
-            }
-            i += 1;
-        } else {
-            emit(ins_nbr.expect("insert side present"), ins[j].2);
-            j += 1;
+/// The block copies that carry every list outside `dirty` (ascending,
+/// distinct) from a graph with offsets `old_offsets` to one with
+/// `new_offsets`, when the two differ only in the lists of `dirty`.
+/// Each maximal run of other vertices keeps its slots in order and
+/// shifted by one constant, so it is covered by pieces
+/// `(old_start, new_start, len)` of at most 65,536 slots.
+pub fn clean_pieces(
+    old_offsets: &[usize],
+    new_offsets: &[usize],
+    dirty: &[VertexId],
+) -> Vec<(usize, usize, usize)> {
+    let n = old_offsets.len() - 1;
+    let mut pieces = Vec::new();
+    let mut first = 0usize;
+    for end in dirty.iter().map(|&d| d as usize).chain([n]) {
+        let (mut old, mut new) = (old_offsets[first], new_offsets[first]);
+        let old_end = old_offsets[end];
+        debug_assert_eq!(old_end - old, new_offsets[end] - new, "a clean run resized");
+        while old < old_end {
+            let len = (old_end - old).min(PIECE_SLOTS);
+            pieces.push((old, new, len));
+            old += len;
+            new += len;
         }
+        first = end + 1;
     }
+    pieces
 }
 
 /// Apply a batch of edge updates to `g`, returning the patched graph.
 ///
 /// # Panics
-/// Panics if any endpoint is out of range.
+/// Panics if any endpoint is out of range, or if the lists and twins the
+/// patch rewrote fail [`CsrGraph`]'s invariants.
 pub fn patch(
     g: &CsrGraph,
     insertions: &[(VertexId, VertexId, f32)],
@@ -148,62 +204,117 @@ pub fn patch(
         "deletion endpoint out of range"
     );
     let deltas = Deltas::build(insertions, deletions);
+    let touched = deltas.owners();
+    let (old_offsets, old_neighbors, old_weights) = g.parts();
 
     // New degrees: untouched vertices keep theirs; touched ones count via
     // the merge.
-    let degrees: Vec<usize> = par_map(n, 512, |v| {
-        let vv = v as VertexId;
-        if !deltas.touches(vv) {
-            return g.degree(vv);
-        }
+    let touched_degrees: Vec<usize> = par_map(touched.len(), 1, |k| {
         let mut count = 0usize;
-        merge_vertex(g, vv, deltas.ins_range(vv), deltas.del_range(vv), |_, _| {
-            count += 1
-        });
+        deltas.merge(g, touched[k], |_, _, _| count += 1);
         count
     });
-    let (offsets, total) = exclusive_scan_usize(&degrees);
-    let mut offsets = offsets;
-    offsets.push(total);
-
-    let weighted = g.is_weighted();
-    let mut neighbors = vec![0 as VertexId; total];
-    let mut weights = weighted.then(|| vec![0f32; total]);
-    {
-        let nbr_ptr = SyncMutPtr::new(&mut neighbors);
-        let w_ptr = weights.as_mut().map(|w| SyncMutPtr::new(w));
-        par_for(n, 256, |v| {
-            let vv = v as VertexId;
-            let mut pos = offsets[v];
-            if !deltas.touches(vv) {
-                // Wholesale copy of the untouched list.
-                for s in g.slot_range(vv) {
-                    // SAFETY: per-vertex output ranges are disjoint.
-                    unsafe {
-                        nbr_ptr.write(pos, g.slot_neighbor(s));
-                        if let Some(w) = &w_ptr {
-                            w.write(pos, g.slot_weight(s));
-                        }
-                    }
-                    pos += 1;
-                }
-            } else {
-                merge_vertex(g, vv, deltas.ins_range(vv), deltas.del_range(vv), |x, w| {
-                    // SAFETY: per-vertex output ranges are disjoint.
-                    unsafe {
-                        nbr_ptr.write(pos, x);
-                        if let Some(wp) = &w_ptr {
-                            wp.write(pos, w);
-                        }
-                    }
-                    pos += 1;
-                });
-            }
-            debug_assert_eq!(pos, offsets[v + 1]);
-        });
+    let mut degrees: Vec<usize> = par_map(n, 4096, |v| g.degree(v as VertexId));
+    for (&t, &d) in touched.iter().zip(&touched_degrees) {
+        degrees[t as usize] = d;
     }
+    let (mut offsets, total) = exclusive_scan_usize(&degrees);
+    offsets.push(total);
+    assert!(
+        total <= u32::MAX as usize,
+        "slot count exceeds u32 index space"
+    );
+    // How far each untouched list moved.
+    let mut moved: Vec<i64> = par_map(n, 4096, |v| offsets[v] as i64 - old_offsets[v] as i64);
+    for &t in &touched {
+        moved[t as usize] = REBUILT;
+    }
+    // The twin of a kept slot whose target list is untouched: the old
+    // twin, moved with that list. `None` when the target list was
+    // rebuilt; the second pass below sets those.
+    let moved_twin = |old_slot: usize| {
+        let shift = moved[old_neighbors[old_slot] as usize];
+        (shift != REBUILT).then(|| (g.twin_slot(old_slot) as i64 + shift) as u32)
+    };
 
-    CsrGraph::try_from_parts(offsets, neighbors, weights).expect("patch preserves CSR invariants")
+    let mut neighbors = vec![0 as VertexId; total];
+    let mut weights = old_weights.map(|_| vec![0f32; total]);
+    let mut twins = vec![0u32; total];
+    let nbr_ptr = SyncMutPtr::new(&mut neighbors);
+    let w_ptr = weights.as_deref_mut().map(SyncMutPtr::new);
+    let twin_ptr = SyncMutPtr::new(&mut twins);
+    let pieces = clean_pieces(old_offsets, &offsets, &touched);
+    par_for(pieces.len(), 1, |p| {
+        let (old, new, len) = pieces[p];
+        // SAFETY: pieces cover disjoint slot ranges of untouched lists,
+        // which no other writer of this pass touches.
+        unsafe {
+            nbr_ptr
+                .slice_mut(new, len)
+                .copy_from_slice(&old_neighbors[old..old + len]);
+            if let (Some(w), Some(old_w)) = (&w_ptr, old_weights) {
+                w.slice_mut(new, len)
+                    .copy_from_slice(&old_w[old..old + len]);
+            }
+            for k in 0..len {
+                if let Some(t) = moved_twin(old + k) {
+                    twin_ptr.write(new + k, t);
+                }
+            }
+        }
+    });
+    par_for_weighted(&touched_degrees, |k| {
+        let v = touched[k];
+        let mut pos = offsets[v as usize];
+        deltas.merge(g, v, |x, w, old_slot| {
+            // SAFETY: `pos` stays inside `v`'s new range, which only this
+            // iteration writes.
+            unsafe {
+                nbr_ptr.write(pos, x);
+                if let Some(wp) = &w_ptr {
+                    wp.write(pos, w);
+                }
+                if let Some(t) = old_slot.and_then(moved_twin) {
+                    twin_ptr.write(pos, t);
+                }
+            }
+            pos += 1;
+        });
+        debug_assert_eq!(pos, offsets[v as usize + 1]);
+    });
+    // Second pass, per touched vertex `v` and slot `s = (v → x)`. When
+    // `x`'s list is untouched, `s` already holds its twin `t = (x → v)`,
+    // and `v` is the only vertex that sets `t`'s twin, to `s`. Otherwise
+    // `s` binary-searches `v` in `x`'s new list, and `x`'s own iteration
+    // sets the twin of the slot it finds.
+    par_for_weighted(&touched_degrees, |k| {
+        let v = touched[k];
+        let range = offsets[v as usize]..offsets[v as usize + 1];
+        // SAFETY: every slot this iteration writes is either in `v`'s own
+        // range or in an untouched list's slot for `v`, which only `v`'s
+        // iteration writes; the neighbor lists are only read.
+        unsafe {
+            let own = twin_ptr.slice_mut(range.start, range.len());
+            for (s, twin) in range.zip(own) {
+                let x = neighbors[s] as usize;
+                if moved[x] != REBUILT {
+                    twin_ptr.write(*twin as usize, s as u32);
+                } else {
+                    let list = &neighbors[offsets[x]..offsets[x + 1]];
+                    // A miss leaves an out-of-range twin for the check below.
+                    *twin = list
+                        .binary_search(&v)
+                        .map_or(u32::MAX, |i| (offsets[x] + i) as u32);
+                }
+            }
+        }
+    });
+
+    let patched = CsrGraph::from_parts_unchecked(offsets, neighbors, weights, twins);
+    if let Err(e) = patched.check_lists(&touched) {
+        panic!("patch broke a CSR invariant: {e}");
+    }
+    patched
 }
 
 #[cfg(test)]

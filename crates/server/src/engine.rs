@@ -45,8 +45,8 @@
 //! readers finish on the epoch they started on — a writer never blocks
 //! them and never tears their view. Writers serialize among themselves
 //! on a separate mutex; the heavy lifting (similarity recomputation,
-//! order rebuilds) runs on the shared worker pool *outside* any lock
-//! the read path takes.
+//! order and breakpoint patches) runs on the shared worker pool
+//! *outside* any lock the read path takes.
 //!
 //! Cache entries are keyed by epoch, and an update invalidates
 //! *selectively*: a clustering at `(μ, ε)` depends only on edges with
@@ -104,20 +104,26 @@ struct CacheKey {
     eps_class: u32,
 }
 
-/// One immutable publication of the serving state: the index, its ε
-/// breakpoints, and the epoch stamp. Readers clone the `Arc` once per
-/// request and never look back at the engine's cell.
+/// One immutable publication of the serving state: the index and the
+/// epoch stamp. Readers clone the `Arc` once per request and never look
+/// back at the engine's cell.
 struct Published {
     index: Arc<ScanIndex>,
-    /// Sorted distinct similarity values (the ε breakpoints).
-    breakpoints: Vec<f32>,
     epoch: u64,
 }
 
 impl Published {
+    /// Sorted distinct similarity values (the ε breakpoints): the
+    /// index's own table, which [`QueryEngine::new`] forces and a batch
+    /// update patches, so reading it never sorts.
+    fn breakpoints(&self) -> &[f32] {
+        self.index.similarities().breakpoints()
+    }
+
     fn snap_epsilon(&self, epsilon: f32) -> (u32, f32) {
-        let class = self.breakpoints.partition_point(|&s| s < epsilon);
-        let snapped = self.breakpoints.get(class).copied().unwrap_or(epsilon);
+        let breakpoints = self.breakpoints();
+        let class = breakpoints.partition_point(|&s| s < epsilon);
+        let snapped = breakpoints.get(class).copied().unwrap_or(epsilon);
         (class as u32, snapped)
     }
 
@@ -311,7 +317,7 @@ impl std::fmt::Debug for QueryEngine {
         f.debug_struct("QueryEngine")
             .field("vertices", &p.index.graph().num_vertices())
             .field("edges", &p.index.graph().num_edges())
-            .field("breakpoints", &p.breakpoints.len())
+            .field("breakpoints", &p.breakpoints().len())
             .field("epoch", &p.epoch)
             .finish_non_exhaustive()
     }
@@ -319,16 +325,14 @@ impl std::fmt::Debug for QueryEngine {
 
 impl QueryEngine {
     pub fn new(index: Arc<ScanIndex>, config: EngineConfig) -> Self {
-        // Freshly built indexes compute these with a radix sort; indexes
+        // Force the ε breakpoints here, so that no query — least of all a
+        // cached CLUSTER probed on the reactor thread — pays their sort.
+        // Freshly built indexes compute them with a radix sort; indexes
         // loaded from a v2 snapshot carry them as a persisted section, so
         // installing a warm-booted graph is sort-free.
-        let breakpoints = index.similarities().breakpoints().to_vec();
+        index.similarities().breakpoints();
         QueryEngine {
-            published: RwLock::new(Arc::new(Published {
-                index,
-                breakpoints,
-                epoch: 0,
-            })),
+            published: RwLock::new(Arc::new(Published { index, epoch: 0 })),
             update_lock: Mutex::new(()),
             cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
             inflight: Coalescer::new(),
@@ -356,7 +360,7 @@ impl QueryEngine {
 
     /// Number of ε equivalence classes (distinct similarity values).
     pub fn num_breakpoints(&self) -> usize {
-        self.published().breakpoints.len()
+        self.published().breakpoints().len()
     }
 
     /// Snap ε to its equivalence class: the class index and its
@@ -549,8 +553,9 @@ impl QueryEngine {
                 micros: start.elapsed().as_micros() as u64,
             });
         };
+        // The update patched the new index's breakpoints from the old
+        // table, so publishing sorts nothing.
         let next = Arc::new(Published {
-            breakpoints: diff.index.similarities().breakpoints().to_vec(),
             epoch: current.epoch + 1,
             index: Arc::new(diff.index),
         });
@@ -571,7 +576,7 @@ impl QueryEngine {
         // (only scores ≤ θ changed), so surviving classes remap by
         // locating their old upper-bound breakpoint in the new table.
         let theta = diff.max_affected_similarity;
-        let (old_bp, new_bp) = (&current.breakpoints, &next.breakpoints);
+        let (old_bp, new_bp) = (current.breakpoints(), next.breakpoints());
         let (dropped, kept) = self.cache.rekey(|key| {
             if key.epoch != current.epoch {
                 // A stray from an even older epoch (racing reader insert

@@ -200,10 +200,18 @@ pub fn validate_graph_name(name: &str) -> Result<(), String> {
 /// One resident graph.
 struct GraphEntry {
     engine: Arc<QueryEngine>,
-    bytes: usize,
     /// Global tick of the most recent query/lookup; the eviction victim
     /// is the Ready entry with the smallest tick.
     last_used: AtomicU64,
+}
+
+impl GraphEntry {
+    /// The resident index's footprint ([`ScanIndex::memory_bytes`], O(1)),
+    /// read from the engine's current epoch so that it follows every
+    /// mutation.
+    fn bytes(&self) -> usize {
+        self.engine.index().memory_bytes()
+    }
 }
 
 /// The once-cell a load leader publishes through — the shared
@@ -359,7 +367,6 @@ impl GraphRegistry {
     fn entry(&self, index: ScanIndex, engine_config: EngineConfig) -> Arc<GraphEntry> {
         let engine = Arc::new(QueryEngine::new(Arc::new(index), engine_config));
         Arc::new(GraphEntry {
-            bytes: engine.index().memory_bytes(),
             engine,
             last_used: AtomicU64::new(self.next_tick()),
         })
@@ -385,12 +392,12 @@ impl GraphRegistry {
             for (n, s) in slots {
                 if let Slot::Ready(e) = s {
                     if keep(n) {
-                        bytes += e.bytes;
+                        bytes += e.bytes();
                         count += 1;
                     }
                 }
             }
-            let bytes_ok = budget.is_none_or(|b| bytes + entry.bytes <= b);
+            let bytes_ok = budget.is_none_or(|b| bytes + entry.bytes() <= b);
             (bytes_ok, count < self.config.max_graphs)
         };
         // The floor: only the pinned default graph stays.
@@ -401,7 +408,7 @@ impl GraphRegistry {
             (false, _) => {
                 return Err(RegistryError::BudgetExceeded {
                     name: name.into(),
-                    bytes: entry.bytes,
+                    bytes: entry.bytes(),
                     budget: budget.expect("bytes only fail under a byte budget"),
                 })
             }
@@ -609,7 +616,7 @@ impl GraphRegistry {
         let mut slots = write_lock(&self.slots);
         match slots.get(name) {
             Some(Slot::Ready(entry)) => {
-                let bytes = entry.bytes;
+                let bytes = entry.bytes();
                 let removed = slots.remove(name);
                 drop(slots);
                 // Free the graph outside the lock (see `notify_evicted`).
@@ -635,7 +642,7 @@ impl GraphRegistry {
                         name: name.clone(),
                         vertices: g.num_vertices(),
                         edges: g.num_edges(),
-                        bytes: entry.bytes,
+                        bytes: entry.bytes(),
                         breakpoints: entry.engine.num_breakpoints(),
                         is_default: name == &self.default_name,
                     })
@@ -657,7 +664,7 @@ impl GraphRegistry {
             match slot {
                 Slot::Ready(e) => {
                     graphs += 1;
-                    bytes_resident += e.bytes;
+                    bytes_resident += e.bytes();
                 }
                 Slot::Loading(_) => loading += 1,
             }
@@ -692,7 +699,7 @@ pub fn build_index_from_path(path: &str) -> Result<ScanIndex, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parscan_core::QueryParams;
+    use parscan_core::{BatchUpdate, QueryParams};
     use parscan_graph::generators;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
@@ -802,6 +809,41 @@ mod tests {
         assert!(r.get(None).is_ok(), "default graph must survive pressure");
         let stats = r.stats();
         assert!(stats.bytes_resident <= stats.byte_budget.unwrap());
+    }
+
+    #[test]
+    fn byte_accounting_follows_mutations() {
+        let one = index_bytes();
+        // Room for the default plus one more graph of admission size.
+        let r = GraphRegistry::new(
+            "boot",
+            RegistryConfig {
+                byte_budget: Some(2 * one + one / 4),
+                ..Default::default()
+            },
+        );
+        let engine = r.install("boot", small_index(1)).unwrap();
+        assert_eq!(r.list()[0].bytes, one);
+        // Grow the default graph by more than the budget's slack.
+        let n = engine.index().graph().num_vertices() as u32;
+        let chords: Vec<(u32, u32)> = (0..n)
+            .flat_map(|v| [7, 31, 53].map(|k| (v, (v + k) % n)))
+            .collect();
+        assert!(
+            engine
+                .apply_update(&BatchUpdate::insert(&chords))
+                .unwrap()
+                .inserted
+                > 0
+        );
+        let live = engine.index().memory_bytes();
+        assert!(live > one + one / 4, "the update must grow the index");
+        // LIST and STATS report the grown index, and admission counts it:
+        // a second graph of admission size no longer fits.
+        assert_eq!(r.list()[0].bytes, live);
+        assert_eq!(r.stats().bytes_resident, live);
+        let err = r.install("a", small_index(1)).unwrap_err();
+        assert!(matches!(err, RegistryError::BudgetExceeded { .. }), "{err}");
     }
 
     #[test]

@@ -200,6 +200,83 @@ proptest! {
     }
 }
 
+/// Apply `batch` and demand the from-scratch oracle's index, breakpoints
+/// included; returns the patched index for the next batch.
+fn apply_and_check(index: ScanIndex, batch: &BatchUpdate) -> ScanIndex {
+    let oracle = rebuild_oracle(index.graph(), batch, SimilarityMeasure::Cosine);
+    let updated = apply_batch(index, batch);
+    assert_index_equivalent(&updated, &oracle, 0.0);
+    updated
+}
+
+/// The differential at benchmark scale: a weighted planted partition the
+/// size of the churn workload's (n = 200,000, about 2M edges) under a
+/// 32-edge delete, its restore and a 4,096-edge batch, and an R-MAT
+/// with 2^17 vertices under a batch around its hubs. Slow in debug
+/// builds, so tier-1 skips it; the mutation-stress CI job runs it in
+/// release at 1 and at 4 threads.
+#[test]
+#[ignore = "benchmark-scale; run in release with --include-ignored"]
+fn benchmark_scale_batches_match_full_rebuild() {
+    let draw = |i: u64, bound: usize| (parscan::parallel::utils::hash64(i) % bound as u64) as u32;
+
+    let (g, _) = generators::weighted_planted_partition(200_000, 5_000, 16.0, 4.0, 19);
+    let edges: Vec<(u32, u32, f32)> = g
+        .canonical_edges()
+        .map(|(u, v, s)| (u, v, g.slot_weight(s)))
+        .collect();
+    let pairs = |picked: &[(u32, u32, f32)]| -> Vec<(u32, u32)> {
+        picked.iter().map(|&(u, v, _)| (u, v)).collect()
+    };
+    let mut index = ScanIndex::build(g, oracle_config(SimilarityMeasure::Cosine));
+    let picked: Vec<_> = (0..32)
+        .map(|i| edges[draw(i, edges.len()) as usize])
+        .collect();
+    index = apply_and_check(index, &BatchUpdate::delete(&pairs(&picked)));
+    let restore = BatchUpdate {
+        insertions: picked,
+        deletions: Vec::new(),
+    };
+    index = apply_and_check(index, &restore);
+    let big = BatchUpdate {
+        insertions: (0..2_048)
+            .map(|i| (draw(2 * i, 200_000), draw(2 * i + 1, 200_000), 0.25))
+            .collect(),
+        deletions: pairs(
+            &(0..2_048)
+                .map(|i| edges[draw(1 << 20 | i, edges.len()) as usize])
+                .collect::<Vec<_>>(),
+        ),
+    };
+    drop(apply_and_check(index, &big));
+
+    // R-MAT: delete edges of the eight largest hubs, link them to each
+    // other and to small vertices.
+    let g = generators::rmat(17, 16, 23);
+    let mut order: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    order.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+    let hubs = &order[..8];
+    let batch = BatchUpdate {
+        insertions: hubs
+            .iter()
+            .flat_map(|&h| {
+                let small = order[order.len() / 2 + h as usize % 1000];
+                hubs.iter()
+                    .map(move |&x| (h, x, 1.0))
+                    .chain([(h, small, 1.0)])
+            })
+            .collect(),
+        deletions: hubs
+            .iter()
+            .flat_map(|&h| g.neighbors(h).iter().step_by(97).map(move |&x| (h, x)))
+            .collect(),
+    };
+    apply_and_check(
+        ScanIndex::build(g, oracle_config(SimilarityMeasure::Cosine)),
+        &batch,
+    );
+}
+
 /// Concurrent stress: CLUSTER/PROBE readers race a writer streaming
 /// mutation batches. Fixed seed — CI gates on this test, so a failure
 /// is reproducible, not flaky.
