@@ -279,6 +279,22 @@ impl CoreOrder {
     }
 }
 
+/// The μ offsets of `g`'s core order: `CO[μ]` holds the vertices of
+/// degree `≥ μ - 1`, so bucket `i` holds as many entries as there are
+/// vertices of degree `> i`, a suffix sum of the degree histogram, and
+/// the last bucket is the maximum degree's.
+pub(crate) fn mu_offsets(g: &CsrGraph) -> Vec<usize> {
+    let histogram = parscan_graph::builder::degree_histogram(g);
+    let (mut above, mut total) = (g.num_vertices(), 0usize);
+    let mut offsets = vec![0usize];
+    for &count in &histogram[..histogram.len() - 1] {
+        above -= count;
+        total += above;
+        offsets.push(total);
+    }
+    offsets
+}
+
 /// Bucket `i`'s range under `offsets`; empty past the last bucket.
 fn bucket(offsets: &[usize], i: usize) -> std::ops::Range<usize> {
     match offsets.get(i + 1) {

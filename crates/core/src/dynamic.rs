@@ -13,12 +13,15 @@
 //!    untouched adjacency lists are block copies and keep their twins,
 //!    with no global re-sort; inserting an existing edge replaces its
 //!    weight;
-//! 2. it recomputes similarities only for edges touching `S` (per-edge
-//!    sorted merges, in parallel), copying every other score from the old
-//!    index;
-//! 3. one lockstep walk of the old and new scores finds the *dirty*
-//!    vertices — those whose list or any of whose scores changed — and
-//!    the old and new score of every changed edge;
+//! 2. it block-copies the scores of every vertex outside `S` (an edge
+//!    with no endpoint in `S` keeps its score bit for bit), then rescores
+//!    every edge at `S` once, on its canonical slot, through the build's
+//!    own per-edge scorer — a sorted merge per edge, in parallel, with
+//!    each weighted closed norm computed once;
+//! 3. a lockstep walk of each touched vertex's old and new lists finds
+//!    the changed edges, their old and new scores, and the *dirty*
+//!    vertices — `S` and the other ends of its changed edges, the only
+//!    vertices whose list or scores can change;
 //! 4. the neighbor order re-sorts only the dirty vertices' lists and
 //!    copies the rest ([`crate::NeighborOrder::patch`]); the core order
 //!    drops the dirty vertices' old entries from each μ bucket and merges
@@ -27,9 +30,9 @@
 //!    new ones.
 //!
 //! A clean vertex has the same list, NO list and CO entries before and
-//! after, so the work past the `O(n + m)` copies grows with the dirty
-//! vertices' degrees, and the result is bitwise the from-scratch build's
-//! (the `test_support` oracle checks exactly that).
+//! after, so the work past the `O(n + m)` block copies grows with the
+//! touched and dirty vertices' degrees, and the result is bitwise the
+//! from-scratch build's (the `test_support` oracle checks exactly that).
 //!
 //! The serving layer consumes the richer [`apply_batch_diff`] entry
 //! point, which additionally reports **how high the damage reaches**:
@@ -41,10 +44,11 @@
 //! survive the update (see `parscan-server`'s engine).
 
 use crate::index::ScanIndex;
-use crate::similarity_exact::{open_intersection_value, patch_breakpoints, EdgeSimilarities};
+use crate::similarity_exact::{
+    open_intersection_value, patch_breakpoints, score_edge, EdgeSimilarities,
+};
+use parscan_graph::patch::clean_pieces;
 use parscan_graph::{CsrGraph, VertexId};
-use parscan_parallel::filter::pack_index_u32;
-use parscan_parallel::prefix::exclusive_scan_usize;
 use parscan_parallel::primitives::{par_for, par_map};
 use parscan_parallel::utils::SyncMutPtr;
 use parscan_parallel::weighted::par_for_weighted;
@@ -218,7 +222,7 @@ pub fn apply_batch_diff(index: &ScanIndex, batch: &BatchUpdate) -> Option<ApplyO
     }
     let measure = index.measure();
     let old_sims = index.similarities();
-    let n = old_graph.num_vertices();
+    let old = (old_graph, old_sims.as_slice());
 
     // Splice the batch into the CSR directly (untouched adjacency lists
     // are copied wholesale) instead of re-sorting all 2m entries.
@@ -227,18 +231,15 @@ pub fn apply_batch_diff(index: &ScanIndex, batch: &BatchUpdate) -> Option<ApplyO
     // Touched vertices: endpoints of any *effective* op. No-op entries
     // (already-present edges, absent deletions) must not widen the
     // recompute set — or an all-no-op batch would still pay the orders.
-    let mut touched = vec![false; n];
-    for &(u, v, _) in &eff.insertions {
-        touched[u as usize] = true;
-        touched[v as usize] = true;
-    }
-    for &(u, v) in &eff.deletions {
-        touched[u as usize] = true;
-        touched[v as usize] = true;
-    }
+    let ins = eff.insertions.iter().flat_map(|&(u, v, _)| [u, v]);
+    let del = eff.deletions.iter().flat_map(|&(u, v)| [u, v]);
+    let mut touched: Vec<VertexId> = ins.chain(del).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let is_touched = flags(old_graph.num_vertices(), &touched);
 
-    let sims = incremental_similarities(old_graph, old_sims, &new_graph, &touched, measure);
-    let diff = ScoreDiff::walk(old_graph, old_sims.as_slice(), &new_graph, &sims, &touched);
+    let sims = rescore(index, &new_graph, &touched, &is_touched);
+    let diff = ScoreDiff::walk(old, (&new_graph, &sims), &touched, &is_touched);
     let breakpoints = patch_breakpoints(old_sims.breakpoints(), &sims, &diff.lost, &diff.gained);
     let sims = EdgeSimilarities::from_per_slot_with_breakpoints(sims, breakpoints);
     let no = index
@@ -257,63 +258,90 @@ pub fn apply_batch_diff(index: &ScanIndex, batch: &BatchUpdate) -> Option<ApplyO
     })
 }
 
-/// Recompute similarities for edges incident to `touched` vertices; copy
-/// all other scores from the old index. Returns the per-slot scores.
-fn incremental_similarities(
-    old_graph: &CsrGraph,
-    old_sims: &EdgeSimilarities,
-    new_graph: &CsrGraph,
-    touched: &[bool],
-    measure: crate::similarity::SimilarityMeasure,
-) -> Vec<f32> {
-    let n = new_graph.num_vertices();
-    let norms: Option<Vec<f64>> = new_graph
-        .is_weighted()
-        .then(|| par_map(n, 1024, |v| new_graph.closed_norm_sq(v as VertexId)));
+/// `vertices` (below `n`) as per-vertex flags.
+fn flags(n: usize, vertices: &[VertexId]) -> Vec<bool> {
+    let mut flags = vec![false; n];
+    for &v in vertices {
+        flags[v as usize] = true;
+    }
+    flags
+}
 
+/// The per-slot scores of `new_graph`. An edge with no endpoint in
+/// `touched` (ascending) keeps its lists and weights, hence its score bit
+/// for bit, so every other vertex's run of scores is a block copy of the
+/// old one. Then every edge at a touched vertex is scored afresh, once,
+/// on its canonical slot, and written to both of its slots; the twin may
+/// lie in a copied list, whose stale score it overwrites.
+fn rescore(
+    index: &ScanIndex,
+    new_graph: &CsrGraph,
+    touched: &[VertexId],
+    is_touched: &[bool],
+) -> Vec<f32> {
+    let old_sims = index.similarities().as_slice();
     let mut sims = vec![0f32; new_graph.num_slots()];
     let ptr = SyncMutPtr::new(&mut sims);
-    par_for(n, 64, |a| {
-        let a = a as VertexId;
-        // Lockstep cursor into the old adjacency of `a`: both old and new
-        // neighbor lists are id-ascending, so untouched edges pair up in
-        // one forward pass (no per-edge binary search).
-        let old_range = old_graph.slot_range(a);
-        let mut old_s = old_range.start;
-        for s in new_graph.slot_range(a) {
-            let b = new_graph.slot_neighbor(s);
-            if b <= a {
-                continue;
+    let pieces = clean_pieces(index.graph().parts().0, new_graph.parts().0, touched);
+    par_for(pieces.len(), 1, |p| {
+        let (old, new, len) = pieces[p];
+        // SAFETY: pieces cover disjoint ranges of untouched lists.
+        unsafe {
+            ptr.slice_mut(new, len)
+                .copy_from_slice(&old_sims[old..old + len])
+        };
+    });
+
+    // Closed norms of the touched vertices and their neighbors — every
+    // endpoint scored below — each computed once: a norm costs O(deg),
+    // and a hub may neighbor many touched vertices.
+    let norms = new_graph.is_weighted().then(|| {
+        let n = new_graph.num_vertices();
+        let (mut seen, mut ends) = (vec![false; n], Vec::new());
+        for &a in touched {
+            for &x in std::iter::once(&a).chain(new_graph.neighbors(a)) {
+                if !std::mem::replace(&mut seen[x as usize], true) {
+                    ends.push(x);
+                }
             }
-            let score = if touched[a as usize] || touched[b as usize] {
-                let open = open_intersection_value(new_graph, s);
-                match &norms {
-                    Some(norms) => measure.score_weighted(
-                        open,
-                        new_graph.slot_weight(s) as f64,
-                        norms[a as usize],
-                        norms[b as usize],
-                    ) as f32,
-                    None => measure.score_unweighted(
-                        open as u64,
-                        new_graph.degree(a),
-                        new_graph.degree(b),
-                    ) as f32,
-                }
+        }
+        let values = par_map(ends.len(), 256, |k| new_graph.closed_norm_sq(ends[k]));
+        let mut norms = vec![0f64; n];
+        for (&x, value) in ends.iter().zip(values) {
+            norms[x as usize] = value;
+        }
+        norms
+    });
+
+    // The touched lists in runs of at most `RUN` slots, so that a hub's
+    // list splits across threads.
+    const RUN: usize = 1024;
+    let runs: Vec<(VertexId, std::ops::Range<usize>)> = touched
+        .iter()
+        .flat_map(|&a| {
+            let list = new_graph.slot_range(a);
+            let end = list.end;
+            list.step_by(RUN).map(move |s| (a, s..end.min(s + RUN)))
+        })
+        .collect();
+    let costs: Vec<usize> = runs.iter().map(|(_, run)| run.len()).collect();
+    par_for_weighted(&costs, |k| {
+        let (a, ref run) = runs[k];
+        for s in run.clone() {
+            let b = new_graph.slot_neighbor(s);
+            if b < a && is_touched[b as usize] {
+                continue; // scored from `b`'s list
+            }
+            let (u, v, canonical) = if a < b {
+                (a, b, s)
             } else {
-                // Unaffected: neighborhoods of a and b are unchanged —
-                // advance the old cursor to this neighbor and copy.
-                while old_s < old_range.end && old_graph.slot_neighbor(old_s) < b {
-                    old_s += 1;
-                }
-                debug_assert!(
-                    old_s < old_range.end && old_graph.slot_neighbor(old_s) == b,
-                    "untouched edge must exist in the old graph"
-                );
-                old_sims.slot(old_s)
+                (b, a, new_graph.twin_slot(s))
             };
-            // SAFETY: the canonical (a, b) pair is the only writer of
-            // slot `s` and of its twin.
+            let open = open_intersection_value(new_graph, canonical);
+            let norms = norms.as_ref().map(|x| (x[u as usize], x[v as usize]));
+            let score = score_edge(new_graph, index.measure(), (u, v, canonical), open, norms);
+            // SAFETY: an edge is scored by exactly one touched endpoint,
+            // the only writer of its two slots in this pass.
             unsafe {
                 ptr.write(s, score);
                 ptr.write(new_graph.twin_slot(s), score);
@@ -323,8 +351,9 @@ fn incremental_similarities(
     sims
 }
 
-/// What the batch did to the scores, from one lockstep walk of the old
-/// and new per-slot arrays.
+/// What the batch did to the scores. Only an edge with a touched endpoint
+/// can change score, so walking the touched vertices' old and new lists
+/// finds every change.
 struct ScoreDiff {
     /// θ: the maximum of `max(σ_old, σ_new)` over changed edges — the
     /// ceiling below which clusterings may differ — or `None` when no
@@ -332,7 +361,8 @@ struct ScoreDiff {
     ceiling: Option<f32>,
     /// Canonical edges whose score changed, appeared or disappeared.
     changed: usize,
-    /// Vertices whose list or any of whose scores changed, ascending.
+    /// Vertices whose list or any of whose scores changed, ascending: the
+    /// touched vertices and the other ends of their changed edges.
     dirty: Vec<VertexId>,
     /// `dirty` as per-vertex flags.
     is_dirty: Vec<bool>,
@@ -342,123 +372,70 @@ struct ScoreDiff {
     gained: Vec<f32>,
 }
 
-/// One vertex's share of a [`ScoreDiff`].
-#[derive(Clone, Copy)]
-struct VertexDiff {
-    ceiling: f32,
-    /// Changed canonical edges `(a, b > a)` of this vertex.
-    changed: usize,
-    dirty: bool,
-}
-
 impl ScoreDiff {
-    /// Compare old and new scores per vertex. Scores count as changed
-    /// when their bits differ; edges copied by the incremental pass
-    /// compare equal and contribute nothing. A second pass over the dirty
-    /// vertices alone collects the changed edges' scores, which can only
-    /// sit on dirty vertices.
+    /// Diff each touched vertex's old and new lists. A changed edge is
+    /// counted from the walk of `a` when its other end `b` is above `a`
+    /// or untouched (and then not walked); a deleted or inserted edge has
+    /// both ends touched.
     fn walk(
-        old_graph: &CsrGraph,
-        old_sims: &[f32],
-        new_graph: &CsrGraph,
-        new_sims: &[f32],
-        touched: &[bool],
+        old: (&CsrGraph, &[f32]),
+        new: (&CsrGraph, &[f32]),
+        touched: &[VertexId],
+        is_touched: &[bool],
     ) -> ScoreDiff {
-        let n = new_graph.num_vertices();
-        let per_vertex: Vec<VertexDiff> = par_map(n, 64, |a| {
-            let mut ceiling = f32::NEG_INFINITY;
-            let mut changed = 0usize;
-            let any = diff_vertex(
-                (old_graph, old_sims),
-                (new_graph, new_sims),
-                a as VertexId,
-                touched[a],
-                |o, s| {
-                    let reach = o.into_iter().chain(s).fold(f32::NEG_INFINITY, f32::max);
-                    ceiling = ceiling.max(reach);
-                    changed += 1;
-                },
-            );
-            VertexDiff {
-                ceiling,
-                changed,
-                dirty: touched[a] || any,
-            }
+        type Change = (Option<f32>, Option<f32>);
+        let per_vertex: Vec<(Vec<Change>, Vec<VertexId>)> = par_map(touched.len(), 1, |k| {
+            let a = touched[k];
+            let (mut changes, mut clean_ends) = (Vec::new(), Vec::new());
+            diff_vertex(old, new, a, |b, o, s| {
+                let clean = !is_touched[b as usize];
+                if clean {
+                    clean_ends.push(b);
+                }
+                if clean || b > a {
+                    changes.push((o, s));
+                }
+            });
+            (changes, clean_ends)
         });
-        let mut ceiling = f32::NEG_INFINITY;
-        let mut changed = 0usize;
-        for d in &per_vertex {
-            ceiling = ceiling.max(d.ceiling);
-            changed += d.changed;
-        }
-        let dirty = pack_index_u32(n, |v| per_vertex[v].dirty);
-        let is_dirty = par_map(n, 4096, |v| per_vertex[v].dirty);
 
-        let counts: Vec<usize> = dirty
-            .iter()
-            .map(|&v| per_vertex[v as usize].changed)
-            .collect();
-        let (starts, total) = exclusive_scan_usize(&counts);
-        debug_assert_eq!(total, changed);
-        let mut pairs: Vec<(Option<f32>, Option<f32>)> = vec![(None, None); total];
-        let ptr = SyncMutPtr::new(&mut pairs);
-        par_for_weighted(&counts, |k| {
-            let a = dirty[k];
-            let mut at = starts[k];
-            diff_vertex(
-                (old_graph, old_sims),
-                (new_graph, new_sims),
-                a,
-                touched[a as usize],
-                |o, s| {
-                    // SAFETY: vertex `k` owns `starts[k]..` for its
-                    // `counts[k]` changed edges.
-                    unsafe { ptr.write(at, (o, s)) };
-                    at += 1;
-                },
-            );
-        });
+        let mut ceiling = f32::NEG_INFINITY;
+        let (mut changed, mut lost, mut gained) = (0usize, Vec::new(), Vec::new());
+        let mut dirty = touched.to_vec();
+        for (changes, clean_ends) in per_vertex {
+            changed += changes.len();
+            for (o, s) in changes {
+                ceiling = o.into_iter().chain(s).fold(ceiling, f32::max);
+                lost.extend(o);
+                gained.extend(s);
+            }
+            dirty.extend(clean_ends);
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
         ScoreDiff {
             ceiling: (changed > 0).then_some(ceiling),
             changed,
+            is_dirty: flags(new.0.num_vertices(), &dirty),
             dirty,
-            is_dirty,
-            lost: pairs.iter().filter_map(|p| p.0).collect(),
-            gained: pairs.iter().filter_map(|p| p.1).collect(),
+            lost,
+            gained,
         }
     }
 }
 
-/// Walk `a`'s old and new lists in lockstep and call `on_change(σ_old,
-/// σ_new)` for every canonical edge `(a, b > a)` whose score changed,
-/// with `None` on the side where the edge is absent (deleted edges have
-/// only an old score, inserted ones only a new one). Returns whether any
-/// slot of `a`, canonical or not, changed. An untouched vertex keeps its
-/// list, so its slots pair up position by position.
+/// Walk `a`'s old and new lists in lockstep and call `on_change(b, σ_old,
+/// σ_new)` for every neighbor `b` whose edge score changed, with `None` on
+/// the side where the edge is absent (deleted edges have only an old
+/// score, inserted ones only a new one).
 fn diff_vertex(
     (old_graph, old_sims): (&CsrGraph, &[f32]),
     (new_graph, new_sims): (&CsrGraph, &[f32]),
     a: VertexId,
-    touched: bool,
-    mut on_change: impl FnMut(Option<f32>, Option<f32>),
-) -> bool {
+    mut on_change: impl FnMut(VertexId, Option<f32>, Option<f32>),
+) {
     let old_range = old_graph.slot_range(a);
     let new_range = new_graph.slot_range(a);
-    let mut any = false;
-    if !touched {
-        debug_assert_eq!(old_range.len(), new_range.len());
-        let old = &old_sims[old_range];
-        let new = &new_sims[new_range.clone()];
-        for (k, (o, s)) in old.iter().zip(new).enumerate() {
-            if o.to_bits() != s.to_bits() {
-                any = true;
-                if new_graph.slot_neighbor(new_range.start + k) > a {
-                    on_change(Some(*o), Some(*s));
-                }
-            }
-        }
-        return any;
-    }
     let (mut i, mut j) = (old_range.start, new_range.start);
     loop {
         let ob = (i < old_range.end).then(|| old_graph.slot_neighbor(i));
@@ -470,10 +447,7 @@ fn diff_vertex(
                 i += 1;
                 j += 1;
                 if o.to_bits() != s.to_bits() {
-                    any = true;
-                    if x > a {
-                        on_change(Some(o), Some(s));
-                    }
+                    on_change(x, Some(o), Some(s));
                 }
                 continue;
             }
@@ -481,21 +455,14 @@ fn diff_vertex(
             (Some(_), None) => true,
             (None, Some(_)) => false,
         };
-        // A deleted edge's old score is the reach of its loss, an
-        // inserted edge's new score the reach of its gain.
-        let (b, o, s) = if deleted {
+        if deleted {
+            on_change(ob.unwrap(), Some(old_sims[i]), None);
             i += 1;
-            (ob.unwrap(), Some(old_sims[i - 1]), None)
         } else {
+            on_change(nb.unwrap(), None, Some(new_sims[j]));
             j += 1;
-            (nb.unwrap(), None, Some(new_sims[j - 1]))
-        };
-        any = true;
-        if b > a {
-            on_change(o, s);
         }
     }
-    any
 }
 
 #[cfg(test)]

@@ -177,25 +177,21 @@ impl ScanIndex {
 
     /// Resident memory footprint in bytes, summed from the actual owned
     /// array lengths (including the owned graph, which the index keeps
-    /// alive) so it tracks structural changes automatically — the
-    /// registry's byte-budgeted eviction depends on this staying honest.
-    /// Still `O(m)`, the paper's space claim.
+    /// alive, and the ε breakpoint table once it has been computed) so it
+    /// tracks structural changes automatically — the registry's
+    /// byte-budgeted eviction depends on this staying honest. Still
+    /// `O(m)`, the paper's space claim.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
+        use std::mem::size_of_val;
         let (no_nbr, no_sim) = self.no.parts();
         let (mu_offsets, co_vertices, co_thresholds) = self.co.parts();
         self.graph.memory_bytes()
-            + self.sims.len() * size_of::<f32>()
+            + self.sims.memory_bytes()
             + size_of_val(no_nbr)
             + size_of_val(no_sim)
             + size_of_val(mu_offsets)
             + size_of_val(co_vertices)
             + size_of_val(co_thresholds)
-    }
-
-    /// Consume the index, returning the graph.
-    pub fn into_graph(self) -> CsrGraph {
-        self.graph
     }
 }
 
@@ -265,5 +261,15 @@ mod tests {
         // ((n + 1) × 8) and the CO μ-offsets (≤ n × 8).
         assert!(bytes >= 2 * m * 28 + (n + 1) * 8);
         assert!(bytes <= 2 * m * 28 + (n + 1) * 8 + n * 8);
+    }
+
+    #[test]
+    fn memory_counts_the_breakpoint_table_once_computed() {
+        let (g, _) = generators::weighted_planted_partition(400, 4, 9.0, 2.0, 3);
+        let idx = ScanIndex::build(g, IndexConfig::default());
+        let before = idx.memory_bytes();
+        let table = idx.similarities().breakpoints().len();
+        assert!(table > 1);
+        assert_eq!(idx.memory_bytes(), before + 4 * table);
     }
 }

@@ -35,10 +35,13 @@
 //!
 //! Loading performs **one sequential read** of the whole file into a
 //! buffer, verifies the checksum, then copies each section into owned
-//! buffers and re-validates CSR structural invariants — a crafted file
-//! cannot panic deep inside query code, and a crafted length field is
-//! bounds-checked against the (already read) file size before any
-//! allocation, so it cannot trigger an OOM either.
+//! buffers and re-validates the structures that query and update code
+//! index by: the CSR invariants, the neighbor order, the core order's μ
+//! offsets (which must be the suffix sums of the graph's degree
+//! histogram) and its vertex ids (which must be below `n`). A crafted
+//! file cannot panic or write out of bounds deep inside query code, and
+//! a crafted length field is bounds-checked against the (already read)
+//! file size before any allocation, so it cannot trigger an OOM either.
 //!
 //! # Crash safety
 //!
@@ -46,16 +49,9 @@
 //! go to a temporary file in the same directory, which is fsynced and
 //! then atomically renamed over the destination (the directory is
 //! fsynced too, so the rename itself survives a crash). A crash at any
-//! point leaves either the complete old snapshot or the complete new one
-//! — the v1 format's checksum could *detect* a torn write, but the save
-//! path could still destroy the previous good snapshot; v2's cannot.
+//! point leaves either the complete old snapshot or the complete new one.
 //! The helper is exported as [`atomic_write`] and reused by
 //! `parscan-store` for its manifest.
-//!
-//! # Format v1 (read-only compatibility)
-//!
-//! Version-1 files (sequential sections, no table) remain loadable; see
-//! the v1 reader below for the exact layout. New files are always v2.
 
 use crate::core_order::CoreOrder;
 use crate::index::ScanIndex;
@@ -90,8 +86,7 @@ mod section {
     pub const CO_VERTICES: u32 = 8;
     pub const CO_THRESHOLDS: u32 = 9;
     /// Sorted distinct similarity values (the serving layer's
-    /// ε-breakpoints). Optional: readers recompute when absent, so files
-    /// written without it stay loadable.
+    /// ε-breakpoints), so a load never re-sorts the scores.
     pub const BREAKPOINTS: u32 = 10;
 }
 
@@ -352,9 +347,9 @@ impl ScanIndex {
         buf.0
     }
 
-    /// Load an index previously written by [`ScanIndex::save`] (format
-    /// v2, or read-only v1), verifying the checksum and structural
-    /// invariants. The whole file is consumed in one sequential read.
+    /// Load an index previously written by [`ScanIndex::save`], verifying
+    /// the checksum and structural invariants. The whole file is consumed
+    /// in one sequential read.
     pub fn load<P: AsRef<Path>>(path: P) -> io::Result<ScanIndex> {
         // `fs::read` sizes the buffer from file metadata up front —
         // no realloc-and-copy cycles while slurping a multi-GiB snapshot.
@@ -378,16 +373,15 @@ impl ScanIndex {
         }
         let version = u32::from_le_bytes(payload[4..8].try_into().unwrap());
         match version {
-            1 => load_v1(payload),
-            2 => load_v2(payload),
+            VERSION => load_v2(payload),
             other => Err(bad(&format!("unsupported index version {other}"))),
         }
     }
 }
 
-/// Validate and assemble the parts shared by both format readers.
-/// One parameter per file section, by design — a struct would only
-/// restate the section list.
+/// Validate and assemble the sections the reader decoded. One parameter
+/// per file section, by design — a struct would only restate the section
+/// list.
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     measure: SimilarityMeasure,
@@ -400,29 +394,31 @@ fn assemble(
     co_offsets: Vec<usize>,
     co_vertices: Vec<u32>,
     co_thresholds: Vec<f32>,
-    breakpoints: Option<Vec<f32>>,
+    breakpoints: Vec<f32>,
 ) -> io::Result<ScanIndex> {
     let graph = CsrGraph::try_from_parts(offsets, neighbors, weights)
         .map_err(|e| bad(&format!("invalid graph in index file: {e}")))?;
-    if co_offsets.is_empty()
-        || co_offsets.windows(2).any(|w| w[0] > w[1])
-        || *co_offsets.last().unwrap() != co_vertices.len()
+    // Query code sets per-vertex flags at the core order's vertex ids,
+    // and an update sizes each μ bucket from its old size, so both must
+    // be what the graph implies. Thresholds and ties carry the same
+    // trust as the persisted similarities (none is recomputed on load).
+    if co_offsets != crate::core_order::mu_offsets(&graph) {
+        return Err(bad("core-order offsets disagree with the graph's degrees"));
+    }
+    if co_vertices
+        .iter()
+        .max()
+        .is_some_and(|&v| v as usize >= graph.num_vertices())
     {
-        return Err(bad("invalid core-order offsets in index file"));
+        return Err(bad("core-order vertex id out of range"));
     }
     // A persisted breakpoint list must at least be strictly ascending —
     // the serving layer binary-searches it. Its *values* carry the same
-    // trust as the persisted similarities themselves (neither is
-    // recomputed from the graph on load).
-    let similarities = match breakpoints {
-        Some(bps) => {
-            if bps.iter().any(|b| !b.is_finite()) || bps.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(bad("breakpoints section is not strictly ascending"));
-            }
-            EdgeSimilarities::from_per_slot_with_breakpoints(sims, bps)
-        }
-        None => EdgeSimilarities::from_per_slot(sims),
-    };
+    // trust as the persisted similarities themselves.
+    if breakpoints.iter().any(|b| !b.is_finite()) || breakpoints.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(bad("breakpoints section is not strictly ascending"));
+    }
+    let similarities = EdgeSimilarities::from_per_slot_with_breakpoints(sims, breakpoints);
     let index = ScanIndex::from_existing_parts(
         graph,
         similarities,
@@ -528,17 +524,13 @@ fn load_v2(payload: &[u8]) -> io::Result<ScanIndex> {
     let co_offsets = vec_u64_as_usize(&payload[co_off_at..co_off_at + co_off_len]);
     let co_vertices = vec_u32(take(section::CO_VERTICES, slots * 4, "CO vertices")?);
     let co_thresholds = vec_f32(take(section::CO_THRESHOLDS, slots * 4, "CO thresholds")?);
-    // BREAKPOINTS is optional (absent in files written before it existed)
-    // and, like CO_OFFSETS, has a length not implied by n/slots.
-    let breakpoints = match found[section::BREAKPOINTS as usize] {
-        Some((at, len)) => {
-            if len % 4 != 0 {
-                return Err(bad("breakpoints section length not a multiple of 4"));
-            }
-            Some(vec_f32(&payload[at..at + len]))
-        }
-        None => None,
-    };
+    // BREAKPOINTS, like CO_OFFSETS, has a length not implied by n/slots.
+    let (bp_at, bp_len) = found[section::BREAKPOINTS as usize]
+        .ok_or_else(|| bad("missing section: breakpoints (id 10)"))?;
+    if bp_len % 4 != 0 {
+        return Err(bad("breakpoints section length not a multiple of 4"));
+    }
+    let breakpoints = vec_f32(&payload[bp_at..bp_at + bp_len]);
 
     assemble(
         measure,
@@ -605,102 +597,8 @@ fn vec_u64_as_usize(raw: &[u8]) -> Vec<usize> {
     }
 }
 
-/// The v1 reader, kept for files written before format v2:
-///
-/// ```text
-/// magic "PSCI" | version u32 = 1 | measure u8 | weighted u8
-/// | n u64 | slots u64
-/// | graph offsets (n+1)×u64 | graph neighbors slots×u32 | [weights slots×f32]
-/// | similarities slots×f32
-/// | NO neighbors slots×u32 | NO similarities slots×f32
-/// | CO offsets: count u64, count×u64 | CO vertices slots×u32 | CO thresholds slots×f32
-/// | fnv1a64 checksum of everything above, u64
-/// ```
-fn load_v1(payload: &[u8]) -> io::Result<ScanIndex> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 8, // magic + version already checked
-    };
-    let measure =
-        measure_from_tag(cur.u8()?).ok_or_else(|| bad("unknown similarity-measure tag"))?;
-    let weighted = cur.u8()? != 0;
-    let n = cur.len_u64()?;
-    let slots = cur.len_u64()?;
-
-    let offsets = cur.vec_u64_as_usize(n + 1)?;
-    let neighbors = cur.vec_u32(slots)?;
-    let weights = if weighted {
-        Some(cur.vec_f32(slots)?)
-    } else {
-        None
-    };
-    let sims = cur.vec_f32(slots)?;
-    let no_nbr = cur.vec_u32(slots)?;
-    let no_sim = cur.vec_f32(slots)?;
-    let n_offsets = cur.len_u64()?;
-    let co_offsets = cur.vec_u64_as_usize(n_offsets)?;
-    let co_vertices = cur.vec_u32(slots)?;
-    let co_thresholds = cur.vec_f32(slots)?;
-    if cur.pos != cur.bytes.len() {
-        return Err(bad("trailing bytes after index payload"));
-    }
-    assemble(
-        measure,
-        offsets,
-        neighbors,
-        weights,
-        sims,
-        no_nbr,
-        no_sim,
-        co_offsets,
-        co_vertices,
-        co_thresholds,
-        None, // v1 predates persisted breakpoints; computed lazily
-    )
-}
-
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> io::Result<&'a [u8]> {
-        if self.pos + len > self.bytes.len() {
-            return Err(bad("index file truncated"));
-        }
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    /// A u64 length field, bounded so corrupted lengths cannot trigger
-    /// enormous allocations before the (already verified) payload runs out.
-    fn len_u64(&mut self) -> io::Result<usize> {
-        let x = self.u64()?;
-        if x > self.bytes.len() as u64 {
-            return Err(bad("length field exceeds file size"));
-        }
-        Ok(x as usize)
-    }
-    fn vec_u32(&mut self, len: usize) -> io::Result<Vec<u32>> {
-        Ok(vec_u32(self.take(len * 4)?))
-    }
-    fn vec_f32(&mut self, len: usize) -> io::Result<Vec<f32>> {
-        Ok(vec_f32(self.take(len * 4)?))
-    }
-    fn vec_u64_as_usize(&mut self, len: usize) -> io::Result<Vec<usize>> {
-        Ok(vec_u64_as_usize(self.take(len * 8)?))
-    }
 }
 
 #[cfg(test)]
@@ -722,38 +620,6 @@ mod tests {
     fn build_sample() -> ScanIndex {
         let (g, _) = generators::planted_partition(300, 3, 9.0, 1.0, 4);
         ScanIndex::build(g, IndexConfig::default())
-    }
-
-    /// Re-encode `idx` in format v1 — the exact writer shipped before
-    /// v2 — so the compatibility reader is exercised against real v1 bytes.
-    fn v1_bytes(idx: &ScanIndex) -> Vec<u8> {
-        let g = idx.graph();
-        let (offsets, neighbors, weights) = g.parts();
-        let slots = g.num_slots();
-        let mut buf = Buf(Vec::new());
-        buf.0.extend_from_slice(MAGIC);
-        buf.u32(1);
-        buf.0.push(measure_tag(idx.measure()));
-        buf.0.push(u8::from(weights.is_some()));
-        buf.u64(g.num_vertices() as u64);
-        buf.u64(slots as u64);
-        buf.slice_usize_as_u64(offsets);
-        buf.slice_u32(neighbors);
-        if let Some(ws) = weights {
-            buf.slice_f32(ws);
-        }
-        buf.slice_f32(idx.similarities().as_slice());
-        let (no_nbr, no_sim) = idx.neighbor_order().parts();
-        buf.slice_u32(no_nbr);
-        buf.slice_f32(no_sim);
-        let (co_offsets, co_vertices, co_thresholds) = idx.core_order().parts();
-        buf.u64(co_offsets.len() as u64);
-        buf.slice_usize_as_u64(co_offsets);
-        buf.slice_u32(co_vertices);
-        buf.slice_f32(co_thresholds);
-        let checksum = checksum64(&buf.0);
-        buf.u64(checksum);
-        buf.0
     }
 
     /// Corrupt-and-reseal: apply `f` to the payload, recompute the
@@ -797,24 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_remain_loadable() {
-        let idx = build_sample();
-        let bytes = v1_bytes(&idx);
-        let loaded = ScanIndex::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(loaded.graph(), idx.graph());
-        let params = QueryParams::new(3, 0.5);
-        assert_eq!(
-            idx.cluster_with(params, crate::query::BorderAssignment::MostSimilar),
-            loaded.cluster_with(params, crate::query::BorderAssignment::MostSimilar)
-        );
-        // Weighted v1 too.
-        let (g, _) = generators::weighted_planted_partition(120, 2, 7.0, 1.0, 9);
-        let idx = ScanIndex::build(g, IndexConfig::default());
-        let loaded = ScanIndex::from_snapshot_bytes(&v1_bytes(&idx)).unwrap();
-        assert_eq!(loaded.graph(), idx.graph());
-    }
-
-    #[test]
     fn sections_are_aligned_and_tabled() {
         let idx = build_sample();
         let bytes = idx.to_snapshot_bytes();
@@ -833,12 +681,12 @@ mod tests {
         let idx = build_sample();
         let want = idx.similarities().breakpoints().to_vec();
         assert!(want.windows(2).all(|w| w[0] < w[1]));
-        // v2 carries them verbatim...
+        // The file carries them verbatim...
         let loaded = ScanIndex::from_snapshot_bytes(&idx.to_snapshot_bytes()).unwrap();
         assert_eq!(loaded.similarities().breakpoints(), &want[..]);
-        // ...and a v1 file (no section) recomputes the identical list.
-        let loaded = ScanIndex::from_snapshot_bytes(&v1_bytes(&idx)).unwrap();
-        assert_eq!(loaded.similarities().breakpoints(), &want[..]);
+        // ...and they equal a fresh sort of the loaded scores.
+        let fresh = EdgeSimilarities::from_per_slot(loaded.similarities().as_slice().to_vec());
+        assert_eq!(fresh.breakpoints(), &want[..]);
     }
 
     #[test]
@@ -1006,6 +854,54 @@ mod tests {
         reseal(&mut bytes, |p| p[4] = 99);
         let err = ScanIndex::from_snapshot_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+        // Version 1, whose reader is gone, is just as unsupported.
+        reseal(&mut bytes, |p| p[4] = 1);
+        let err = ScanIndex::from_snapshot_bytes(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported index version 1"),
+            "{err}"
+        );
+    }
+
+    /// File offset of section `id`, read from the snapshot's table.
+    fn section_offset(bytes: &[u8], id: u32) -> usize {
+        let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        (0..count)
+            .map(|i| &bytes[HEADER_BYTES + i * TABLE_ENTRY_BYTES..][..TABLE_ENTRY_BYTES])
+            .find(|e| u32::from_le_bytes(e[0..4].try_into().unwrap()) == id)
+            .map(|e| u64::from_le_bytes(e[8..16].try_into().unwrap()) as usize)
+            .expect("the section is present")
+    }
+
+    #[test]
+    fn rejects_an_out_of_range_core_order_vertex() {
+        let idx = build_sample();
+        let mut bytes = idx.to_snapshot_bytes();
+        let at = section_offset(&bytes, section::CO_VERTICES);
+        reseal(&mut bytes, |p| {
+            p[at..at + 4].copy_from_slice(&50_000_000u32.to_le_bytes());
+        });
+        let err = ScanIndex::from_snapshot_bytes(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("core-order vertex"), "{err}");
+    }
+
+    #[test]
+    fn rejects_core_order_offsets_that_disagree_with_the_degrees() {
+        // Still non-decreasing and ending at the entry count, so only the
+        // check against the degree histogram can object.
+        let idx = build_sample();
+        let offsets = idx.core_order().parts().0;
+        assert!(offsets[1] + 1 < offsets[2]);
+        let mut bytes = idx.to_snapshot_bytes();
+        let at = section_offset(&bytes, section::CO_OFFSETS) + 8;
+        reseal(&mut bytes, |p| {
+            p[at..at + 8].copy_from_slice(&(offsets[1] as u64 + 1).to_le_bytes());
+        });
+        let err = ScanIndex::from_snapshot_bytes(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("core-order offsets"), "{err}");
     }
 
     #[test]

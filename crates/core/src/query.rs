@@ -21,8 +21,7 @@ use parscan_graph::VertexId;
 use parscan_parallel::hashtable::ConcurrentSetU64;
 use parscan_parallel::primitives::par_for;
 use parscan_parallel::union_find::ConcurrentUnionFind;
-use parscan_parallel::utils::SyncMutPtr;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// SCAN query parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -166,15 +165,11 @@ impl ScanIndex {
         let border = opts.border;
         let cores = self.cores(params);
 
-        let mut core_flag = vec![false; n];
-        {
-            let ptr = SyncMutPtr::new(&mut core_flag);
-            // SAFETY: cores are distinct vertex ids below `n`, so each
-            // write is in bounds and no two iterations share a slot.
-            par_for(cores.len(), 1024, |i| unsafe {
-                ptr.write(cores[i] as usize, true);
-            });
-        }
+        let core_flag: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        par_for(cores.len(), 1024, |i| {
+            core_flag[cores[i] as usize].store(true, Ordering::Relaxed);
+        });
+        let core_flag: Vec<bool> = core_flag.into_iter().map(AtomicBool::into_inner).collect();
 
         // Solve core–core connectivity over ε-similar core edges. Each
         // undirected edge appears in both endpoints' prefixes; process it

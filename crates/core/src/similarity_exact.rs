@@ -106,6 +106,13 @@ impl EdgeSimilarities {
         &self.per_slot
     }
 
+    /// Bytes held by the per-slot scores and, once it has been computed,
+    /// the breakpoint table.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.per_slot[..]) + self.breakpoints.get().map_or(0, |b| size_of_val(&b[..]))
+    }
+
     /// Similarity of edge `{u, v}` if present.
     pub fn of_edge(&self, g: &CsrGraph, u: VertexId, v: VertexId) -> Option<f32> {
         g.slot_of(u, v).map(|s| self.per_slot[s])
@@ -499,6 +506,25 @@ pub fn open_intersection_value(g: &CsrGraph, s: usize) -> f64 {
     }
 }
 
+/// The score of the edge `(u, v)` in `u`'s slot `s`, from its
+/// open-neighborhood value `open` and, on weighted graphs, the closed
+/// norms of `u` and `v`. The build and the batch update both score every
+/// edge through here on its canonical slot (`u < v`), so their bits agree.
+pub(crate) fn score_edge(
+    g: &CsrGraph,
+    measure: SimilarityMeasure,
+    (u, v, s): (VertexId, VertexId, usize),
+    open: f64,
+    norms: Option<(f64, f64)>,
+) -> f32 {
+    match norms {
+        Some((norm_u, norm_v)) => {
+            measure.score_weighted(open, g.slot_weight(s) as f64, norm_u, norm_v) as f32
+        }
+        None => measure.score_unweighted(open as u64, g.degree(u), g.degree(v)) as f32,
+    }
+}
+
 /// Score every canonical slot with `open_value(slot)` and write the
 /// canonical + mirror slots in one pass: the twin-slot permutation makes
 /// the mirror a plain store.
@@ -520,21 +546,13 @@ where
             if v <= u {
                 continue;
             }
-            let value = open_value(s);
-            let score = match &norms {
-                Some(norms) => measure.score_weighted(
-                    value,
-                    g.slot_weight(s) as f64,
-                    norms[u as usize],
-                    norms[v as usize],
-                ),
-                None => measure.score_unweighted(value as u64, g.degree(u), g.degree(v)),
-            };
+            let norms = norms.as_ref().map(|x| (x[u as usize], x[v as usize]));
+            let score = score_edge(g, measure, (u, v, s), open_value(s), norms);
             // SAFETY: slot `s` and its twin are written by exactly one
             // (u, v) pair — the canonical one.
             unsafe {
-                ptr.write(s, score as f32);
-                ptr.write(g.twin_slot(s), score as f32);
+                ptr.write(s, score);
+                ptr.write(g.twin_slot(s), score);
             }
         }
     });

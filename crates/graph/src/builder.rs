@@ -264,34 +264,8 @@ pub fn relabel(g: &CsrGraph, perm: &[VertexId]) -> CsrGraph {
     }
 }
 
-/// Extract the canonical edge list `(u, v, w)` with `u < v`.
-pub fn to_edge_list(g: &CsrGraph) -> Vec<(VertexId, VertexId, f32)> {
-    let mut out = Vec::with_capacity(g.num_edges());
-    out.extend(
-        g.canonical_edges()
-            .map(|(u, v, slot)| (u, v, g.slot_weight(slot))),
-    );
-    out
-}
-
-/// Build the subgraph induced by keeping every edge with `pred(u, v)`.
-pub fn filter_edges<P>(g: &CsrGraph, pred: P) -> CsrGraph
-where
-    P: Fn(VertexId, VertexId) -> bool + Sync,
-{
-    let kept: Vec<(VertexId, VertexId, f32)> = to_edge_list(g)
-        .into_iter()
-        .filter(|&(u, v, _)| pred(u, v))
-        .collect();
-    if g.is_weighted() {
-        from_weighted_edges(g.num_vertices(), &kept)
-    } else {
-        let unweighted: Vec<(VertexId, VertexId)> = kept.iter().map(|&(u, v, _)| (u, v)).collect();
-        from_edges(g.num_vertices(), &unweighted)
-    }
-}
-
-/// Parallel histogram of endpoint degrees — used by tests and stats.
+/// Parallel histogram of vertex degrees, from 0 to the maximum degree —
+/// the index loader checks the core order's μ offsets against it.
 pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
     let max_deg = g.max_degree();
     let hist: Vec<AtomicUsize> = (0..=max_deg).map(|_| AtomicUsize::new(0)).collect();
@@ -369,17 +343,6 @@ mod tests {
         assert_eq!(h.num_edges(), 3);
         assert_eq!(h.neighbors(3), &[2]); // old 0-1 becomes 3-2
         assert_eq!(h.neighbors(0), &[1]);
-    }
-
-    #[test]
-    fn filter_edges_keeps_subset() {
-        let g = from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
-        let h = filter_edges(&g, |u, _v| u != 0);
-        assert_eq!(h.num_edges(), 2); // keeps 1-2 and 2-3
-        assert!(h.slot_of(0, 1).is_none());
-        assert!(h.slot_of(1, 2).is_some());
-        assert!(h.slot_of(2, 3).is_some());
-        assert!(h.slot_of(0, 3).is_none());
     }
 
     #[test]

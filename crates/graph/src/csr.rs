@@ -7,8 +7,6 @@
 //! search. Per-edge quantities (similarities) are stored in slot-indexed
 //! arrays of length `2m`.
 
-use parscan_parallel::primitives::par_for;
-
 /// Vertex identifier. `u32` halves the memory traffic of `usize` indices
 /// (a Type-Sizes guideline) and covers every graph this repo targets.
 pub type VertexId = u32;
@@ -361,16 +359,6 @@ impl CsrGraph {
         })
     }
 
-    /// A copy of this graph with weights dropped.
-    pub fn unweighted_copy(&self) -> CsrGraph {
-        CsrGraph {
-            offsets: self.offsets.clone(),
-            neighbors: self.neighbors.clone(),
-            weights: None,
-            twins: self.twins.clone(),
-        }
-    }
-
     /// Raw parts accessor (offsets, neighbors, weights).
     pub fn parts(&self) -> (&[usize], &[VertexId], Option<&[f32]>) {
         (&self.offsets, &self.neighbors, self.weights.as_deref())
@@ -385,14 +373,6 @@ impl CsrGraph {
             + size_of_val(&self.twins[..])
             + self.weights.as_deref().map_or(0, size_of_val)
     }
-}
-
-/// Convenience: run `f(v)` for every vertex in parallel.
-pub fn par_for_vertices<F>(g: &CsrGraph, f: F)
-where
-    F: Fn(VertexId) + Sync,
-{
-    par_for(g.num_vertices(), 256, |v| f(v as VertexId));
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@
 //! is checked in release builds too, at `O(Σ deg(touched))`.
 //!
 //! This is the graph-side half of the dynamic-index extension
-//! (`parscan_core::dynamic`), which copies the neighbor order's clean
-//! runs with the same [`clean_pieces`].
+//! (`parscan_core::dynamic`), which copies the clean runs of the scores
+//! and of the neighbor order with the same [`clean_pieces`].
 //!
 //! Semantics (matching `BatchUpdate`): self-loops are ignored; deleting an
 //! absent edge is a no-op; inserting an existing edge *replaces its

@@ -103,12 +103,6 @@ pub fn triangle_count(g: &CsrGraph) -> u64 {
     total.into_inner()
 }
 
-/// Count of common elements of two ascending-sorted slices (delegates to
-/// the shared hybrid merge/gallop kernel in [`crate::intersect`]).
-pub fn sorted_intersection_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-    intersect::count_common(a, b)
-}
-
 /// Degeneracy via sequential bucketed core decomposition. The arboricity α
 /// satisfies `⌈degeneracy / 2⌉ ≤ α ≤ degeneracy`.
 pub fn degeneracy(g: &CsrGraph) -> usize {

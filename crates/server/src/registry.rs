@@ -709,8 +709,12 @@ mod tests {
         ScanIndex::build(g, IndexConfig::default())
     }
 
+    /// The footprint of `small_index(1)` as installed: the engine
+    /// computes its ε breakpoint table, which the footprint counts.
     fn index_bytes() -> usize {
-        small_index(1).memory_bytes()
+        let index = small_index(1);
+        index.similarities().breakpoints();
+        index.memory_bytes()
     }
 
     /// [`GraphRegistry::load`], waited on through a channel.

@@ -189,11 +189,6 @@ impl ServerHandle {
             let _ = t.join();
         }
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 /// Bind `addr` and serve every graph in `registry` until shutdown, under
