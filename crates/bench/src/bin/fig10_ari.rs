@@ -9,7 +9,7 @@
 
 use parscan_approx::{build_approx_index, ApproxConfig, ApproxMethod};
 use parscan_bench::{datasets, params, timing};
-use parscan_core::{BorderAssignment, IndexConfig, ScanIndex, SimilarityMeasure, SortStrategy};
+use parscan_core::{IndexConfig, ScanIndex, SimilarityMeasure, SortStrategy};
 use parscan_metrics::adjusted_rand_index;
 
 fn sample_counts() -> Vec<usize> {
@@ -39,9 +39,7 @@ fn main() {
             // Exact "ground truth" clustering at its best grid parameters.
             let exact = ScanIndex::build(g.clone(), IndexConfig::with_measure(measure));
             let (_, best) = params::best_modularity(&exact);
-            let truth = exact
-                .cluster_with(best, BorderAssignment::MostSimilar)
-                .labels_with_singletons();
+            let truth = exact.cluster(best).labels_with_singletons();
 
             for k in sample_counts() {
                 let config = ApproxConfig {
@@ -52,9 +50,7 @@ fn main() {
                     sort: SortStrategy::Integer,
                 };
                 let (t_build, index) = timing::time_once(|| build_approx_index(g.clone(), config));
-                let approx = index
-                    .cluster_with(best, BorderAssignment::MostSimilar)
-                    .labels_with_singletons();
+                let approx = index.cluster(best).labels_with_singletons();
                 let ari = adjusted_rand_index(&truth, &approx);
                 println!(
                     "{:<28} {:>8} {:>12} {:>8.4}  (μ*={}, ε*={:.2})",

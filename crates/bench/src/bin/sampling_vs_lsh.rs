@@ -11,7 +11,7 @@
 use parscan_approx::sampling::{build_sampled_index, SamplingConfig};
 use parscan_approx::{build_approx_index, ApproxConfig, ApproxMethod};
 use parscan_bench::{datasets, params, timing};
-use parscan_core::{BorderAssignment, IndexConfig, ScanIndex, SimilarityMeasure, SortStrategy};
+use parscan_core::{IndexConfig, ScanIndex, SimilarityMeasure, SortStrategy};
 use parscan_metrics::adjusted_rand_index;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         };
         let (t_exact, exact) = timing::time_once(|| ScanIndex::build(g.clone(), config));
         let (q_exact, best) = params::best_modularity(&exact);
-        let exact_clustering = exact.cluster_with(best, BorderAssignment::MostSimilar);
+        let exact_clustering = exact.cluster(best);
         let exact_labels = exact_clustering.labels_with_singletons();
         println!(
             "{:<24} {:>10} {:>12} {:>12} {:>8}",
@@ -99,7 +99,7 @@ fn report(
     t: f64,
 ) {
     let (q, _) = params::best_modularity(index);
-    let c = index.cluster_with(best, BorderAssignment::MostSimilar);
+    let c = index.cluster(best);
     let ari = adjusted_rand_index(&c.labels_with_singletons(), exact_labels);
     let _ = g;
     println!(

@@ -633,8 +633,10 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 99);
-        waker.drain();
+        // Both wakes must land before the drain: the wait can return
+        // between them, and a wake after the drain refills the pipe.
         handle.join().unwrap();
+        waker.drain();
 
         let n = poller
             .wait(&mut events, Some(Duration::from_millis(10)))

@@ -471,9 +471,7 @@ mod tests {
     use crate::index::{ExactStrategy, IndexConfig};
     use crate::query::{BorderAssignment, QueryParams};
     use crate::similarity::SimilarityMeasure;
-    use crate::test_support::{
-        assert_arbitrary_clusterings_agree, assert_index_equivalent, oracle_config, rebuild_oracle,
-    };
+    use crate::test_support::{assert_index_equivalent, oracle_config, rebuild_oracle};
     use parscan_graph::generators;
     use parscan_parallel::utils::hash64;
 
@@ -506,7 +504,6 @@ mod tests {
             updated.cluster_with(params, BorderAssignment::MostSimilar),
             rebuilt.cluster_with(params, BorderAssignment::MostSimilar)
         );
-        assert_arbitrary_clusterings_agree(&updated.cluster(params), &rebuilt.cluster(params));
     }
 
     #[test]

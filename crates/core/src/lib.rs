@@ -51,9 +51,7 @@ pub use doubling::doubling_search_prefix;
 pub use dynamic::{apply_batch, apply_batch_diff, ApplyOutcome, BatchUpdate};
 pub use index::{ExactStrategy, IndexConfig, ScanIndex, SortStrategy};
 pub use neighbor_order::NeighborOrder;
-pub use query::{
-    BorderAssignment, CoreConnectivity, QueryOptions, QueryParamError, QueryParams, VertexProbe,
-};
+pub use query::{BorderAssignment, QueryOptions, QueryParamError, QueryParams, VertexProbe};
 pub use similarity::SimilarityMeasure;
 pub use similarity_exact::EdgeSimilarities;
 pub use sweep::{sweep, sweep_with_best, SweepGrid, SweepPoint, SweepResult};

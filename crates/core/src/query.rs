@@ -3,25 +3,33 @@
 //! The query for `(μ, ε)`:
 //! 1. **GetCores** (Alg. 3): the prefix of `CO[μ]` with threshold ≥ ε,
 //!    found by doubling search.
-//! 2. ε-similar edges: for each core, the doubling-search prefix of its
-//!    neighbor order (only these edges are ever touched — the
-//!    output-sensitive bound of Theorem 4.3).
-//! 3. Core connectivity: concurrent union-find over core–core ε-similar
-//!    edges (the §6.2 optimization that replaces materializing the induced
-//!    subgraph and running a connectivity algorithm).
-//! 4. **AssignNonCores** (Alg. 4): borders attach to a neighboring
-//!    ε-similar core's cluster by compare-and-swap; ties between clusters
-//!    are resolved arbitrarily (first CAS wins), exactly as SCAN allows.
-//!    A deterministic [`BorderAssignment::MostSimilar`] mode reproduces the
-//!    tie-break the paper uses for its quality experiments (§7.3.4).
+//! 2. One pass over each core's ε-similar edges, the doubling-search
+//!    prefix of its neighbor order (only these edges are ever touched —
+//!    the output-sensitive bound of Theorem 4.3). Core–core edges go into
+//!    a concurrent union-find (the §6.2 optimization that replaces
+//!    materializing the induced subgraph and running a connectivity
+//!    algorithm); every other endpoint is claimed once as a border
+//!    candidate (Alg. 4's remove-duplicates).
+//! 3. Each core takes its union-find root, the minimum core id of its
+//!    cluster, as its label.
+//! 4. **AssignNonCores** (Alg. 4) with the tie-break of the paper's
+//!    quality experiments (§7.3.4): each candidate joins the cluster of
+//!    its most similar ε-similar core, ties to the lowest id. The answer
+//!    is deterministic, whatever the thread count or schedule.
 
 use crate::clustering::{Clustering, UNCLUSTERED};
 use crate::index::ScanIndex;
 use parscan_graph::VertexId;
-use parscan_parallel::hashtable::ConcurrentSetU64;
-use parscan_parallel::primitives::par_for;
+use parscan_parallel::pool::num_threads;
+use parscan_parallel::primitives::{par_for, par_map};
 use parscan_parallel::union_find::ConcurrentUnionFind;
+use parscan_parallel::weighted::weighted_chunk_ranges;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+/// The label of a non-core that the union pass has claimed as a border
+/// candidate, until the border pass replaces it. Only `UNCLUSTERED` is
+/// ever compared against, so this value may equal a real label.
+const CLAIMED: u32 = UNCLUSTERED - 1;
 
 /// SCAN query parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,37 +108,21 @@ impl QueryParams {
     }
 }
 
-/// How ambiguous border vertices pick among multiple adjacent clusters.
+/// How border vertices pick among adjacent clusters. The query has one
+/// policy; this type and [`QueryOptions`] remain because the `scanbench`
+/// harness names them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BorderAssignment {
-    /// First compare-and-swap wins (Algorithm 4) — fastest, and any
-    /// outcome is a valid SCAN clustering.
-    #[default]
-    Arbitrary,
     /// Attach to the most similar ε-similar core neighbor, ties to the
-    /// lowest id — deterministic; used by the quality experiments.
+    /// lowest id (§7.3.4).
+    #[default]
     MostSimilar,
 }
 
-/// How core–core connectivity (Algorithm 5 line 6) is solved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CoreConnectivity {
-    /// Concurrent union-find over the ε-similar core edges without
-    /// materializing them — the §6.2 production optimization.
-    #[default]
-    UnionFind,
-    /// The literal Algorithm 5: materialize `similar_core_edges` and run a
-    /// parallel connected-components algorithm on the induced subgraph
-    /// (the Gazit role from §2.3.2). Kept as an ablation of the §6.2
-    /// design choice; both backends yield identical core labels.
-    Materialized,
-}
-
-/// Full query configuration (border policy + connectivity backend).
+/// Query configuration for [`ScanIndex::cluster_with_opts`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct QueryOptions {
     pub border: BorderAssignment,
-    pub connectivity: CoreConnectivity,
 }
 
 impl ScanIndex {
@@ -139,30 +131,14 @@ impl ScanIndex {
         self.core_order().cores(params.mu, params.epsilon)
     }
 
-    /// SCAN clustering with arbitrary border assignment (Algorithm 5).
+    /// SCAN clustering for `(μ, ε)` (Algorithms 3–5): every border joins
+    /// the cluster of its most similar core, ties to the lowest id, so
+    /// the answer is deterministic.
     pub fn cluster(&self, params: QueryParams) -> Clustering {
-        self.cluster_with(params, BorderAssignment::Arbitrary)
-    }
-
-    /// SCAN clustering with an explicit border-assignment policy.
-    pub fn cluster_with(&self, params: QueryParams, border: BorderAssignment) -> Clustering {
-        self.cluster_with_opts(
-            params,
-            QueryOptions {
-                border,
-                ..Default::default()
-            },
-        )
-    }
-
-    /// SCAN clustering with full control over query internals
-    /// (Algorithms 3–5).
-    pub fn cluster_with_opts(&self, params: QueryParams, opts: QueryOptions) -> Clustering {
         let g = self.graph();
         let no = self.neighbor_order();
         let n = g.num_vertices();
         let eps = params.epsilon;
-        let border = opts.border;
         let cores = self.cores(params);
 
         let core_flag: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
@@ -171,115 +147,80 @@ impl ScanIndex {
         });
         let core_flag: Vec<bool> = core_flag.into_iter().map(AtomicBool::into_inner).collect();
 
-        // Solve core–core connectivity over ε-similar core edges. Each
-        // undirected edge appears in both endpoints' prefixes; process it
-        // from the smaller endpoint only.
+        // One pass over the cores' ε-prefixes, in chunks of balanced
+        // degree. Each undirected core–core edge appears in both
+        // endpoints' prefixes; union it from the smaller endpoint only.
+        // Any other endpoint is a border candidate: the first core to
+        // reach it claims it (a load first, so an already claimed vertex
+        // costs no write) and keeps it in its chunk's buffer. Relaxed is
+        // enough: a claim publishes no other data, and each later phase
+        // reads only what an earlier loop wrote, which the pool's join
+        // orders.
         let labels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCLUSTERED)).collect();
-        match opts.connectivity {
-            CoreConnectivity::UnionFind => {
-                let uf = ConcurrentUnionFind::new(n);
-                par_for(cores.len(), 64, |i| {
-                    let v = cores[i];
-                    let (nbrs, _) = no.epsilon_prefix(g, v, eps);
-                    for &u in nbrs {
-                        if u > v && core_flag[u as usize] {
+        let uf = ConcurrentUnionFind::new(n);
+        let degrees = par_map(cores.len(), 2048, |i| g.degree(cores[i]));
+        let chunks = weighted_chunk_ranges(&degrees, 8 * num_threads());
+        let claimed: Vec<Vec<VertexId>> = par_map(chunks.len(), 1, |c| {
+            let mut buffer = Vec::new();
+            for &v in &cores[chunks[c].clone()] {
+                for &u in no.epsilon_prefix(g, v, eps).0 {
+                    if core_flag[u as usize] {
+                        if u > v {
                             uf.union(v, u);
                         }
+                    } else {
+                        let label = &labels[u as usize];
+                        if label.load(Ordering::Relaxed) == UNCLUSTERED
+                            && label.swap(CLAIMED, Ordering::Relaxed) == UNCLUSTERED
+                        {
+                            buffer.push(u);
+                        }
                     }
-                });
-                // Label cores by their component root (the minimum core id
-                // in the cluster — a deterministic representative).
-                par_for(cores.len(), 1024, |i| {
-                    let v = cores[i];
-                    labels[v as usize].store(uf.find(v), Ordering::Relaxed);
-                });
+                }
             }
-            CoreConnectivity::Materialized => {
-                // Algorithm 5 lines 5–6: filter the core–core ε-similar
-                // edges into an explicit list, then run parallel connected
-                // components on the induced subgraph.
-                let edge_lists = parscan_parallel::filter::filter_map_index(cores.len(), |i| {
-                    let v = cores[i];
-                    let (nbrs, _) = no.epsilon_prefix(g, v, eps);
-                    let list: Vec<(u32, u32)> = nbrs
-                        .iter()
-                        .filter(|&&u| u > v && core_flag[u as usize])
-                        .map(|&u| (v, u))
-                        .collect();
-                    (!list.is_empty()).then_some(list)
-                });
-                let edges: Vec<(u32, u32)> = edge_lists.into_iter().flatten().collect();
-                let comp = parscan_parallel::connectivity::connected_components(n, &edges);
-                par_for(cores.len(), 1024, |i| {
-                    let v = cores[i];
-                    labels[v as usize].store(comp[v as usize], Ordering::Relaxed);
-                });
-            }
-        }
+            buffer
+        });
 
-        match border {
-            BorderAssignment::Arbitrary => {
-                // Algorithm 4: CAS borders into an arbitrary adjacent
-                // ε-similar core's cluster.
-                par_for(cores.len(), 64, |i| {
-                    let v = cores[i];
-                    let root = labels[v as usize].load(Ordering::Relaxed);
-                    let (nbrs, _) = no.epsilon_prefix(g, v, eps);
-                    for &u in nbrs {
-                        if !core_flag[u as usize] {
-                            let _ = labels[u as usize].compare_exchange(
-                                UNCLUSTERED,
-                                root,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            );
-                        }
-                    }
+        // Label cores by their component root (the minimum core id in the
+        // cluster — a deterministic representative).
+        par_for(cores.len(), 1024, |i| {
+            let v = cores[i];
+            labels[v as usize].store(uf.find(v), Ordering::Relaxed);
+        });
+
+        // A candidate's neighbor order is (similarity desc, id asc), so
+        // the first core in its ε-prefix is its most similar, lowest-id
+        // one. Only asymmetric scores, which a crafted snapshot may
+        // carry, leave a candidate without one: it stays unclustered.
+        let borders = claimed.concat();
+        par_for(borders.len(), 256, |i| {
+            let u = borders[i];
+            let label = no
+                .neighbors(g, u)
+                .iter()
+                .zip(no.similarities(g, u))
+                .take_while(|&(_, &s)| s >= eps)
+                .find(|&(&x, _)| core_flag[x as usize])
+                .map_or(UNCLUSTERED, |(&x, _)| {
+                    labels[x as usize].load(Ordering::Relaxed)
                 });
-            }
-            BorderAssignment::MostSimilar => {
-                // Collect distinct border candidates from core prefixes
-                // (remove-duplicates, Alg. 4 line 2), then let each border
-                // pick its most similar core from its own ordered prefix.
-                // Candidates are endpoints of ε-similar core edges, so the
-                // summed prefix lengths bound them (output-sensitive, per
-                // Thm 4.3) — NOT the core count (a few cores can expose
-                // many borders at small ε / large μ).
-                let total_prefix = parscan_parallel::primitives::reduce(
-                    cores.len(),
-                    256,
-                    0usize,
-                    |i| no.epsilon_prefix(g, cores[i], eps).0.len(),
-                    |a, b| a + b,
-                );
-                let seen = ConcurrentSetU64::with_capacity(total_prefix.min(n) + 1);
-                let candidates = parscan_parallel::filter::filter_map_index(cores.len(), |i| {
-                    let v = cores[i];
-                    let (nbrs, _) = no.epsilon_prefix(g, v, eps);
-                    let mut local: Vec<VertexId> = Vec::new();
-                    for &u in nbrs {
-                        if !core_flag[u as usize] && seen.insert(u as u64) {
-                            local.push(u);
-                        }
-                    }
-                    (!local.is_empty()).then_some(local)
-                });
-                let borders: Vec<VertexId> = candidates.into_iter().flatten().collect();
-                par_for(borders.len(), 256, |i| {
-                    let u = borders[i];
-                    // The prefix is (similarity desc, id asc): the first
-                    // core hit is the most similar, lowest-id one.
-                    let (nbrs, _) = no.epsilon_prefix(g, u, eps);
-                    if let Some(&x) = nbrs.iter().find(|&&x| core_flag[x as usize]) {
-                        let root = labels[x as usize].load(Ordering::Relaxed);
-                        labels[u as usize].store(root, Ordering::Relaxed);
-                    }
-                });
-            }
-        }
+            labels[u as usize].store(label, Ordering::Relaxed);
+        });
 
         let labels: Vec<u32> = labels.into_iter().map(AtomicU32::into_inner).collect();
         Clustering::new(labels, core_flag)
+    }
+
+    /// [`Self::cluster`]. Kept only because the `scanbench` harness
+    /// calls it.
+    pub fn cluster_with(&self, params: QueryParams, _border: BorderAssignment) -> Clustering {
+        self.cluster(params)
+    }
+
+    /// [`Self::cluster`]. Kept only because the `scanbench` harness
+    /// calls it.
+    pub fn cluster_with_opts(&self, params: QueryParams, _opts: QueryOptions) -> Clustering {
+        self.cluster(params)
     }
 
     /// A degree-bounded summary of one vertex at `(μ, ε)` — its closed
@@ -293,8 +234,8 @@ impl ScanIndex {
         let (nbrs, _) = no.epsilon_prefix(g, v, params.epsilon);
         let is_core = nbrs.len() + 1 >= params.mu as usize;
         // The prefix is (similarity desc, id asc), so the first core hit
-        // is the most similar, lowest-id attachment — matching
-        // [`BorderAssignment::MostSimilar`].
+        // is the most similar, lowest-id attachment — the core whose
+        // cluster [`ScanIndex::cluster`] gives a border.
         let attach_core = nbrs.iter().copied().find(|&u| {
             no.core_threshold(g, u, params.mu)
                 .is_some_and(|t| t >= params.epsilon)
@@ -352,15 +293,6 @@ mod tests {
         // Border: paper vertex 11 (ours 10) is clustered but not a core.
         assert!(!c.is_core(10));
         assert!(c.is_clustered(10));
-    }
-
-    #[test]
-    fn border_assignment_modes_agree_on_figure1() {
-        // Figure 1 has no ambiguous border, so both modes coincide.
-        let idx = figure1_index();
-        let a = idx.cluster_with(QueryParams::new(3, 0.6), BorderAssignment::Arbitrary);
-        let b = idx.cluster_with(QueryParams::new(3, 0.6), BorderAssignment::MostSimilar);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -469,23 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn arbitrary_mode_core_labels_are_deterministic() {
-        // Borders may differ run to run, but core labels never do.
-        let (g, _) = generators::planted_partition(400, 4, 9.0, 2.0, 8);
-        let idx = ScanIndex::build(g, IndexConfig::default());
-        let params = QueryParams::new(3, 0.45);
-        let first = idx.cluster(params);
-        for _ in 0..5 {
-            let again = idx.cluster(params);
-            for v in 0..first.labels.len() {
-                if first.core[v] {
-                    assert_eq!(first.labels[v], again.labels[v]);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn most_similar_with_many_borders_per_core() {
         // Regression: a few cores exposing many distinct borders used to
         // overflow the under-sized candidate set (sized by core count) and
@@ -507,48 +422,38 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_backends_agree() {
-        // Core labels (and with deterministic borders, entire clusterings)
-        // must match between union-find and materialized components.
-        for seed in [2u64, 13] {
-            let (g, _) = generators::planted_partition(400, 4, 10.0, 1.5, seed);
-            let idx = ScanIndex::build(g, IndexConfig::default());
-            for mu in [2u32, 4] {
-                for eps in [0.25f32, 0.5, 0.75] {
-                    let params = QueryParams::new(mu, eps);
-                    let a = idx.cluster_with_opts(
-                        params,
-                        QueryOptions {
-                            border: BorderAssignment::MostSimilar,
-                            connectivity: CoreConnectivity::UnionFind,
-                        },
-                    );
-                    let b = idx.cluster_with_opts(
-                        params,
-                        QueryOptions {
-                            border: BorderAssignment::MostSimilar,
-                            connectivity: CoreConnectivity::Materialized,
-                        },
-                    );
-                    assert_eq!(a, b, "backends diverge at μ={mu}, ε={eps}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn materialized_backend_satisfies_invariants() {
-        let (g, _) = generators::planted_partition(300, 3, 9.0, 1.0, 21);
-        let idx = ScanIndex::build(g, IndexConfig::default());
-        let params = QueryParams::new(3, 0.4);
-        let c = idx.cluster_with_opts(
-            params,
-            QueryOptions {
-                border: BorderAssignment::Arbitrary,
-                connectivity: CoreConnectivity::Materialized,
-            },
+    fn tied_border_joins_the_lowest_id_core_then_the_most_similar() {
+        // Two 5-cliques, {0..4} and {5..9}, and b = 10 joined to the first
+        // vertex of each: b is ε-similar to cores 0 and 5 with bitwise
+        // equal scores, so the tie goes to the lower id.
+        let clique =
+            |base: u32| (base..base + 5).flat_map(move |u| (u + 1..base + 5).map(move |v| (u, v)));
+        let mut edges: Vec<(u32, u32)> = clique(0).chain(clique(5)).collect();
+        edges.extend([(0, 10), (5, 10)]);
+        let params = QueryParams::new(5, 0.35);
+        let idx = ScanIndex::build(
+            parscan_graph::from_edges(11, &edges),
+            IndexConfig::default(),
         );
-        check_scan_invariants(&idx, params, &c);
+        let sims = idx.neighbor_order().similarities(idx.graph(), 10);
+        assert_eq!(sims[0].to_bits(), sims[1].to_bits(), "the scores must tie");
+        let c = idx.cluster(params);
+        assert!(!c.is_core(10) && c.is_core(0) && c.is_core(5));
+        assert_ne!(c.labels[0], c.labels[5]);
+        assert_eq!(c.labels[10], c.labels[0]);
+
+        // One more edge into the higher-id clique makes its cores 5 and 6
+        // strictly more similar to b than 0 is; b, still a non-core,
+        // follows them.
+        edges.push((6, 10));
+        let idx = ScanIndex::build(
+            parscan_graph::from_edges(11, &edges),
+            IndexConfig::default(),
+        );
+        let c = idx.cluster(params);
+        assert!(!c.is_core(10) && c.is_core(0) && c.is_core(5));
+        assert_ne!(c.labels[0], c.labels[5]);
+        assert_eq!(c.labels[10], c.labels[5]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::clustering::Clustering;
 use crate::index::ScanIndex;
-use crate::query::{BorderAssignment, CoreConnectivity, QueryOptions, QueryParams};
+use crate::query::QueryParams;
 use parscan_parallel::primitives::par_for;
 use parscan_parallel::utils::SyncMutPtr;
 
@@ -118,9 +118,8 @@ impl SweepResult {
 
 /// Sweep the grid against `index`, scoring each point's clustering with
 /// `score`. Grid points run in parallel (each query is independent and
-/// borrows the index immutably); the deterministic
-/// [`BorderAssignment::MostSimilar`] policy is used so scores are
-/// reproducible, matching the §7.3.4 methodology.
+/// borrows the index immutably); the query's borders follow the
+/// deterministic §7.3.4 tie-break, so scores are reproducible.
 ///
 /// Returns every scored point (callers can plot the full quality surface)
 /// plus the argmax. Ties break toward the earliest grid point, so results
@@ -144,10 +143,6 @@ where
 {
     let params = grid.points();
     assert!(!params.is_empty(), "sweep grid is empty");
-    let opts = QueryOptions {
-        border: BorderAssignment::MostSimilar,
-        connectivity: CoreConnectivity::UnionFind,
-    };
     let mut points = vec![
         SweepPoint {
             params: params[0],
@@ -160,7 +155,7 @@ where
     {
         let ptr = SyncMutPtr::new(&mut points);
         par_for(params.len(), 1, |i| {
-            let c = index.cluster_with_opts(params[i], opts);
+            let c = index.cluster(params[i]);
             let s = score(&c);
             // SAFETY: one grid point per slot; writes are disjoint.
             unsafe {
@@ -197,7 +192,7 @@ where
     F: Fn(&Clustering) -> f64 + Sync,
 {
     let result = sweep(index, grid, score);
-    let best = index.cluster_with(result.best_params(), BorderAssignment::MostSimilar);
+    let best = index.cluster(result.best_params());
     (result, best)
 }
 
@@ -205,6 +200,7 @@ where
 mod tests {
     use super::*;
     use crate::index::IndexConfig;
+    use crate::query::BorderAssignment;
     use parscan_graph::generators;
 
     fn quality_proxy(c: &Clustering) -> f64 {

@@ -17,16 +17,13 @@
 //! - [`radix`]: parallel stable LSD integer sort (the Thm 4.2 ingredient)
 //!   and its segmented form, which sorts each pre-grouped segment,
 //! - [`hashtable`]: phase-concurrent open-addressing hash set/map,
-//! - [`union_find`]: lock-free concurrent union-find (ConnectIt-style),
-//! - [`connectivity`]: parallel connected components over explicit edge
-//!   lists (the Gazit role from §2.3.2).
+//! - [`union_find`]: lock-free concurrent union-find (ConnectIt-style).
 //!
 //! All primitives run on a single global pool (see [`pool::global`]); the
 //! number of participating threads can be bounded with
 //! [`pool::set_active_threads`], which the scaling experiments use to sweep
 //! thread counts without re-creating pools.
 
-pub mod connectivity;
 pub mod filter;
 pub mod hashtable;
 pub mod pool;
@@ -38,7 +35,6 @@ pub mod union_find;
 pub mod utils;
 pub mod weighted;
 
-pub use connectivity::connected_components;
 pub use filter::{filter, pack_index_u32};
 pub use hashtable::{ConcurrentMapU64, ConcurrentSetU64};
 pub use pool::{num_threads, set_active_threads};

@@ -62,8 +62,7 @@ use crate::cache::ShardedLru;
 use crate::coalesce::{Cell, Coalescer, Entry};
 use crate::{lock_mutex, read_lock, write_lock};
 use parscan_core::{
-    apply_batch_diff, BatchUpdate, BorderAssignment, Clustering, QueryOptions, QueryParams,
-    ScanIndex, VertexProbe,
+    apply_batch_diff, BatchUpdate, Clustering, QueryParams, ScanIndex, VertexProbe,
 };
 use parscan_graph::VertexId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,22 +74,18 @@ use std::time::Instant;
 pub struct EngineConfig {
     /// Maximum number of cached clusterings (each `O(n)` memory).
     pub cache_capacity: usize,
-    /// Number of independently locked cache shards.
-    pub cache_shards: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_capacity: 128,
-            cache_shards: 8,
         }
     }
 }
 
-/// Served queries assign borders deterministically, so identical
-/// requests always receive identical answers (cached or not).
-const BORDER: BorderAssignment = BorderAssignment::MostSimilar;
+/// Number of independently locked cache shards.
+const CACHE_SHARDS: usize = 8;
 
 /// Cache key: the publication epoch, μ, and the ε equivalence class.
 /// Keying by epoch makes entries from superseded indexes unreachable the
@@ -334,7 +329,7 @@ impl QueryEngine {
         QueryEngine {
             published: RwLock::new(Arc::new(Published { index, epoch: 0 })),
             update_lock: Mutex::new(()),
-            cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
+            cache: ShardedLru::new(config.cache_capacity, CACHE_SHARDS),
             inflight: Coalescer::new(),
             counters: Counters::default(),
         }
@@ -505,11 +500,9 @@ impl QueryEngine {
         // they park a worker. Error policies have no channel at this
         // site and are ignored.
         let _ = failpoint::check("engine.compute");
-        let opts = QueryOptions {
-            border: BORDER,
-            ..Default::default()
-        };
-        let clustering = index.cluster_with_opts(params, opts);
+        // The query is deterministic, so identical requests always
+        // receive identical answers, cached or not.
+        let clustering = index.cluster(params);
         self.counters
             .compute_micros
             .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -733,7 +726,7 @@ pub struct SweepBest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parscan_core::IndexConfig;
+    use parscan_core::{BorderAssignment, IndexConfig};
     use parscan_graph::generators;
 
     fn engine(capacity: usize) -> QueryEngine {
@@ -743,7 +736,6 @@ mod tests {
             index,
             EngineConfig {
                 cache_capacity: capacity,
-                cache_shards: 2,
             },
         )
     }
@@ -1029,13 +1021,7 @@ mod tests {
         ];
         let g = parscan_graph::from_edges(8, &edges);
         let index = Arc::new(ScanIndex::build(g, IndexConfig::default()));
-        QueryEngine::new(
-            index,
-            EngineConfig {
-                cache_capacity: 16,
-                cache_shards: 2,
-            },
-        )
+        QueryEngine::new(index, EngineConfig { cache_capacity: 16 })
     }
 
     #[test]

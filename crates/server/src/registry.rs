@@ -479,7 +479,6 @@ impl GraphRegistry {
             RegisterLoad::Leader(cell) => {
                 let engine_config = EngineConfig {
                     cache_capacity: cache_capacity.unwrap_or(self.config.engine.cache_capacity),
-                    ..self.config.engine
                 };
                 notify(self.lead_load(name, cell, engine_config, build))
             }

@@ -192,7 +192,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let index = load_or_build_index(path, args)?;
 
     let params = QueryParams::try_new(mu, eps).map_err(|e| e.to_string())?;
-    let clustering = index.cluster_with(params, BorderAssignment::MostSimilar);
+    let clustering = index.cluster(params);
     let roles = classify_roles(index.graph(), &clustering);
     println!(
         "clusters {}  |  {:?}  |  modularity {:.4}",
@@ -320,7 +320,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             max_graphs,
             engine: EngineConfig {
                 cache_capacity: cache,
-                ..Default::default()
             },
         },
     ));

@@ -62,8 +62,8 @@ pub use parscan_store as store;
 pub mod prelude {
     pub use parscan_approx::{build_approx_index, ApproxConfig, ApproxMethod};
     pub use parscan_core::{
-        BorderAssignment, Clustering, CoreConnectivity, IndexConfig, QueryOptions, QueryParamError,
-        QueryParams, ScanIndex, SimilarityMeasure, VertexProbe, VertexRole, UNCLUSTERED,
+        BorderAssignment, Clustering, IndexConfig, QueryOptions, QueryParamError, QueryParams,
+        ScanIndex, SimilarityMeasure, VertexProbe, VertexRole, UNCLUSTERED,
     };
     pub use parscan_graph::{CsrGraph, VertexId};
     pub use parscan_server::{

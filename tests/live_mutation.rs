@@ -293,10 +293,7 @@ fn concurrent_mutation_stress_no_torn_reads_or_stale_cache() {
     let n = g.num_vertices() as u32;
     let engine = Arc::new(QueryEngine::new(
         Arc::new(ScanIndex::build(g, IndexConfig::default())),
-        EngineConfig {
-            cache_capacity: 64,
-            cache_shards: 4,
-        },
+        EngineConfig { cache_capacity: 64 },
     ));
 
     // Every published epoch's index, recorded by the (single) writer the

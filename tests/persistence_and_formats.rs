@@ -1,7 +1,7 @@
 //! Integration tests for cross-session workflows: index persistence,
-//! on-disk graph format interop, the parameter-sweep engine, and the new
-//! connectivity/baseline additions — each spanning at least two crates
-//! through the public facade.
+//! on-disk graph format interop, the parameter-sweep engine, and the
+//! baselines — each spanning at least two crates through the public
+//! facade.
 
 use parscan::core::sweep::{sweep, sweep_with_best, SweepGrid};
 use parscan::metrics::{adjusted_rand_index, modularity, normalized_mutual_information};
@@ -126,30 +126,6 @@ fn sweep_engine_beats_fixed_parameters_on_planted_graphs() {
     let labels = best.labels_with_singletons();
     assert!(adjusted_rand_index(&labels, &truth) > 0.5);
     assert!(normalized_mutual_information(&labels, &truth) > 0.5);
-}
-
-#[test]
-fn connectivity_backends_agree_through_facade() {
-    let g = parscan::graph::generators::rmat(10, 8, 3);
-    let index = ScanIndex::build(g, IndexConfig::default());
-    for (mu, eps) in [(2u32, 0.3f32), (4, 0.5), (8, 0.2)] {
-        let params = QueryParams::new(mu, eps);
-        let uf = index.cluster_with_opts(
-            params,
-            QueryOptions {
-                border: BorderAssignment::MostSimilar,
-                connectivity: CoreConnectivity::UnionFind,
-            },
-        );
-        let mat = index.cluster_with_opts(
-            params,
-            QueryOptions {
-                border: BorderAssignment::MostSimilar,
-                connectivity: CoreConnectivity::Materialized,
-            },
-        );
-        assert_eq!(uf, mat, "(μ,ε)=({mu},{eps})");
-    }
 }
 
 #[test]

@@ -123,23 +123,6 @@ proptest! {
     }
 
     #[test]
-    fn connected_components_match_union_find(
-        n in 1usize..80,
-        raw_edges in proptest::collection::vec((0u32..80, 0u32..80), 0..200),
-    ) {
-        let edges: Vec<(u32, u32)> = raw_edges
-            .into_iter()
-            .map(|(u, v)| (u % n as u32, v % n as u32))
-            .collect();
-        let lp = parscan::parallel::connectivity::connected_components(n, &edges);
-        let uf = parscan::parallel::union_find::ConcurrentUnionFind::new(n);
-        for &(u, v) in &edges {
-            uf.union(u, v);
-        }
-        prop_assert_eq!(lp, uf.components());
-    }
-
-    #[test]
     fn modularity_of_single_cluster_is_zero_or_less(g in arb_graph(40, 150)) {
         prop_assume!(g.num_edges() > 0);
         let labels = vec![0u32; g.num_vertices()];

@@ -32,10 +32,7 @@ fn build_engine(cache_capacity: usize) -> (Arc<ScanIndex>, Arc<QueryEngine>) {
     let index = Arc::new(test_index());
     let engine = Arc::new(QueryEngine::new(
         Arc::clone(&index),
-        EngineConfig {
-            cache_capacity,
-            ..Default::default()
-        },
+        EngineConfig { cache_capacity },
     ));
     (index, engine)
 }
@@ -46,10 +43,7 @@ fn build_server(cache_capacity: usize) -> (Arc<ScanIndex>, Arc<QueryEngine>, Ser
     let registry = Arc::new(GraphRegistry::new(
         "default",
         RegistryConfig {
-            engine: EngineConfig {
-                cache_capacity,
-                ..Default::default()
-            },
+            engine: EngineConfig { cache_capacity },
             ..Default::default()
         },
     ));
