@@ -132,6 +132,7 @@ pub fn approx_similarities(g: &CsrGraph, config: &ApproxConfig) -> EdgeSimilarit
         .then(|| par_map(g.num_vertices(), 1024, |v| g.closed_norm_sq(v as VertexId)));
 
     let n = g.num_vertices();
+    let twins = g.twin_slots();
     let mut sims = vec![0f32; g.num_slots()];
     let ptr = SyncMutPtr::new(&mut sims);
     // Pass 1: canonical slots — estimate when both endpoints sketched,
@@ -161,7 +162,7 @@ pub fn approx_similarities(g: &CsrGraph, config: &ApproxConfig) -> EdgeSimilarit
             // slot `s` and of its twin.
             unsafe {
                 ptr.write(s, score);
-                ptr.write(g.twin_slot(s), score);
+                ptr.write(twins[s] as usize, score);
             }
         }
     });

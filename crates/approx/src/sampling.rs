@@ -130,6 +130,7 @@ pub fn sampled_similarities_for(
         .is_weighted()
         .then(|| par_map(n, 1024, |v| g.closed_norm_sq(v as VertexId)));
 
+    let twins = g.twin_slots();
     let mut sims = vec![0f32; g.num_slots()];
     let ptr = SyncMutPtr::new(&mut sims);
     // Canonical pass: score each u < v edge from the sampled sublists.
@@ -175,7 +176,7 @@ pub fn sampled_similarities_for(
             // slot `s` and of its twin.
             unsafe {
                 ptr.write(s, score);
-                ptr.write(g.twin_slot(s), score);
+                ptr.write(twins[s] as usize, score);
             }
         }
     });

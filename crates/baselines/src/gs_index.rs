@@ -37,6 +37,7 @@ impl<'g> SequentialGsIndex<'g> {
         let n = g.num_vertices();
 
         // Similarities, sequentially, one canonical edge at a time.
+        let twins = g.twin_slots();
         let mut sims = vec![0f32; g.num_slots()];
         for u in 0..n as VertexId {
             for s in g.slot_range(u) {
@@ -47,7 +48,7 @@ impl<'g> SequentialGsIndex<'g> {
                 let open = open_intersection_value(g, s) as u64;
                 let score = measure.score_unweighted(open, g.degree(u), g.degree(v)) as f32;
                 sims[s] = score;
-                sims[g.twin_slot(s)] = score;
+                sims[twins[s] as usize] = score;
             }
         }
 

@@ -35,6 +35,7 @@ pub fn original_scan(
     let norms: Option<Vec<f64>> = g
         .is_weighted()
         .then(|| (0..n).map(|v| g.closed_norm_sq(v as VertexId)).collect());
+    let twins = g.twin_slots();
     let mut sims = vec![0f32; g.num_slots()];
     for u in 0..n as VertexId {
         for s in g.slot_range(u) {
@@ -53,7 +54,7 @@ pub fn original_scan(
                 None => measure.score_unweighted(open as u64, g.degree(u), g.degree(v)),
             } as f32;
             sims[s] = score;
-            sims[g.twin_slot(s)] = score;
+            sims[twins[s] as usize] = score;
         }
     }
 

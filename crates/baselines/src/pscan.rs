@@ -46,6 +46,8 @@ fn bounds(measure: SimilarityMeasure, du: usize, dv: usize) -> (f64, f64) {
 struct Memo<'g> {
     g: &'g CsrGraph,
     measure: SimilarityMeasure,
+    /// `g`'s twin-slot permutation: a score is memoized on both slots.
+    twins: Vec<u32>,
     cache: Vec<AtomicU32>,
 }
 
@@ -58,6 +60,7 @@ impl<'g> Memo<'g> {
         Memo {
             g,
             measure,
+            twins: g.twin_slots(),
             cache: (0..g.num_slots())
                 .map(|_| AtomicU32::new(UNCOMPUTED))
                 .collect(),
@@ -84,7 +87,7 @@ impl<'g> Memo<'g> {
             .score_unweighted(open, self.g.degree(u), self.g.degree(v)) as f32;
         // Races are benign: the score is a pure function of the edge.
         self.cache[s].store(score.to_bits(), Ordering::Relaxed);
-        self.cache[self.g.twin_slot(s)].store(score.to_bits(), Ordering::Relaxed);
+        self.cache[self.twins[s] as usize].store(score.to_bits(), Ordering::Relaxed);
         score >= epsilon
     }
 }

@@ -10,9 +10,8 @@
 //! the index instead of rebuilding it:
 //!
 //! 1. it splices the batch into the CSR (`parscan_graph::patch`):
-//!    untouched adjacency lists are block copies and keep their twins,
-//!    with no global re-sort; inserting an existing edge replaces its
-//!    weight;
+//!    untouched adjacency lists are block copies, with no global
+//!    re-sort; inserting an existing edge replaces its weight;
 //! 2. it block-copies the scores of every vertex outside `S` (an edge
 //!    with no endpoint in `S` keeps its score bit for bit), then rescores
 //!    every edge at `S` once, on its canonical slot, through the build's
@@ -271,8 +270,9 @@ fn flags(n: usize, vertices: &[VertexId]) -> Vec<bool> {
 /// `touched` (ascending) keeps its lists and weights, hence its score bit
 /// for bit, so every other vertex's run of scores is a block copy of the
 /// old one. Then every edge at a touched vertex is scored afresh, once,
-/// on its canonical slot, and written to both of its slots; the twin may
-/// lie in a copied list, whose stale score it overwrites.
+/// on its canonical slot, and written to both of its slots; the mirror
+/// slot, found by binary search, may lie in a copied list, whose stale
+/// score it overwrites.
 fn rescore(
     index: &ScanIndex,
     new_graph: &CsrGraph,
@@ -332,11 +332,10 @@ fn rescore(
             if b < a && is_touched[b as usize] {
                 continue; // scored from `b`'s list
             }
-            let (u, v, canonical) = if a < b {
-                (a, b, s)
-            } else {
-                (b, a, new_graph.twin_slot(s))
-            };
+            let mirror = new_graph
+                .slot_of(b, a)
+                .expect("patched lists are symmetric");
+            let (u, v, canonical) = if a < b { (a, b, s) } else { (b, a, mirror) };
             let open = open_intersection_value(new_graph, canonical);
             let norms = norms.as_ref().map(|x| (x[u as usize], x[v as usize]));
             let score = score_edge(new_graph, index.measure(), (u, v, canonical), open, norms);
@@ -344,7 +343,7 @@ fn rescore(
             // the only writer of its two slots in this pass.
             unsafe {
                 ptr.write(s, score);
-                ptr.write(new_graph.twin_slot(s), score);
+                ptr.write(mirror, score);
             }
         }
     });

@@ -256,11 +256,11 @@ mod tests {
         let (n, m) = (g.num_vertices(), g.num_edges());
         let idx = ScanIndex::build(g, IndexConfig::default());
         let bytes = idx.memory_bytes();
-        // Per slot (2m of them): graph neighbors + twins (4 + 4), sims
-        // (4), NO (4 + 4), CO (4 + 4) = 28 bytes; plus the graph offsets
+        // Per slot (2m of them): graph neighbors (4), sims (4), NO
+        // (4 + 4), CO (4 + 4) = 24 bytes; plus the graph offsets
         // ((n + 1) × 8) and the CO μ-offsets (≤ n × 8).
-        assert!(bytes >= 2 * m * 28 + (n + 1) * 8);
-        assert!(bytes <= 2 * m * 28 + (n + 1) * 8 + n * 8);
+        assert!(bytes >= 2 * m * 24 + (n + 1) * 8);
+        assert!(bytes <= 2 * m * 24 + (n + 1) * 8 + n * 8);
     }
 
     #[test]

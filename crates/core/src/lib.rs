@@ -34,7 +34,6 @@ pub mod clustering;
 pub mod core_order;
 pub mod doubling;
 pub mod dynamic;
-pub mod hierarchy;
 pub mod hubs;
 pub mod index;
 pub mod neighbor_order;

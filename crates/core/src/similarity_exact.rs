@@ -243,7 +243,8 @@ pub fn compute_merge_based(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimi
     // Canonical undirected slot for every directed DAG edge, by walking
     // each vertex's CSR list and DAG out-list together (both are sorted by
     // neighbor id) — no per-edge binary searches. The mirror side comes
-    // from the precomputed twin-slot permutation.
+    // from the twin-slot permutation, built once for this call.
+    let twins = g.twin_slots();
     let mut can_slots: Vec<u32> = vec![0; m];
     {
         let ptr = SyncMutPtr::new(&mut can_slots);
@@ -258,9 +259,9 @@ pub fn compute_merge_based(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimi
                 }
                 let v = g.slot_neighbor(s);
                 if v == outs[k] {
-                    let cs = if uv < v { s } else { g.twin_slot(s) };
+                    let cs = if uv < v { s as u32 } else { twins[s] };
                     // SAFETY: each DAG edge index is written exactly once.
-                    unsafe { ptr.write(base + k, cs as u32) };
+                    unsafe { ptr.write(base + k, cs) };
                     k += 1;
                 }
             }
@@ -316,7 +317,7 @@ pub fn compute_merge_based(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimi
             ptr.write(can_slots[e] as usize, acc[e] as f64);
         });
     }
-    finalize(g, measure, |s| per_slot[s])
+    finalize(g, &twins, measure, |s| per_slot[s])
 }
 
 /// Run the triangle loop over cost-balanced flat-edge ranges, each worker
@@ -428,7 +429,7 @@ pub fn compute_hash_based(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimil
                 table.insert(((u as u64) << 32) | x as u64, ws[k].to_bits() as u64);
             }
         });
-        finalize(g, measure, |s| {
+        finalize(g, &g.twin_slots(), measure, |s| {
             let u = g.slot_owner(s);
             let v = g.slot_neighbor(s);
             let (small, large) = if g.degree(u) <= g.degree(v) {
@@ -460,7 +461,7 @@ pub fn compute_hash_based(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimil
                 table.insert(((u as u64) << 32) | x as u64);
             }
         });
-        finalize(g, measure, |s| {
+        finalize(g, &g.twin_slots(), measure, |s| {
             let u = g.slot_owner(s);
             let v = g.slot_neighbor(s);
             let (small, large) = if g.degree(u) <= g.degree(v) {
@@ -482,7 +483,9 @@ pub fn compute_hash_based(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimil
 /// Per-edge sorted merge over full neighbor lists — the oracle strategy.
 pub fn compute_full_merge(g: &CsrGraph, measure: SimilarityMeasure) -> EdgeSimilarities {
     check_measure(g, measure);
-    finalize(g, measure, |s| open_intersection_value(g, s))
+    finalize(g, &g.twin_slots(), measure, |s| {
+        open_intersection_value(g, s)
+    })
 }
 
 /// Open-neighborhood intersection value of the edge stored in canonical
@@ -526,9 +529,14 @@ pub(crate) fn score_edge(
 }
 
 /// Score every canonical slot with `open_value(slot)` and write the
-/// canonical + mirror slots in one pass: the twin-slot permutation makes
-/// the mirror a plain store.
-fn finalize<F>(g: &CsrGraph, measure: SimilarityMeasure, open_value: F) -> EdgeSimilarities
+/// canonical + mirror slots in one pass: `twins`, `g`'s
+/// [`CsrGraph::twin_slots`], makes the mirror a plain store.
+fn finalize<F>(
+    g: &CsrGraph,
+    twins: &[u32],
+    measure: SimilarityMeasure,
+    open_value: F,
+) -> EdgeSimilarities
 where
     F: Fn(usize) -> f64 + Sync,
 {
@@ -552,7 +560,7 @@ where
             // (u, v) pair — the canonical one.
             unsafe {
                 ptr.write(s, score);
-                ptr.write(g.twin_slot(s), score);
+                ptr.write(twins[s] as usize, score);
             }
         }
     });

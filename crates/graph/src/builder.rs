@@ -7,9 +7,10 @@
 //! A stable sort of each segment by neighbor ([`par_sort_segments`])
 //! puts each neighbor's earliest input occurrence first, and both sides
 //! of an edge see the same earliest index. Keeping that first key drops
-//! the duplicates with the first occurrence's weight winning, a second
-//! prefix sum compacts the lists into the CSR arrays, and the shared
-//! index pairs every slot with its twin. The scatter keeps input order
+//! the duplicates with the first occurrence's weight winning, and a
+//! second prefix sum compacts the lists into the CSR arrays. Both slots
+//! of an edge take their weight from the same input index, so the
+//! weights are symmetric by construction. The scatter keeps input order
 //! within a segment whatever the chunking, so the output does not depend
 //! on the thread count. Work is `O(n + m)` (segments of up to 65,536
 //! entries are sorted in cache, larger ones by radix) and every phase is
@@ -168,11 +169,6 @@ where
 
     // Compact the first key of each neighbor run into the CSR arrays,
     // block by block.
-    let for_each_vertex = |f: &(dyn Fn(usize) + Sync)| {
-        par_for_weighted(&block_len, |b| {
-            ((b << shift)..((b + 1) << shift).min(n)).for_each(f)
-        });
-    };
     let segment = |u: usize| first_keys(&keys[segments[u]..segments[u + 1]]);
     let degrees: Vec<usize> = par_map(n, 1024, |u| segment(u).count());
     let offsets = offsets_from(&degrees);
@@ -183,50 +179,25 @@ where
     );
     let mut neighbors = vec![0 as VertexId; slots];
     let mut weights = weighted.then(|| vec![0f32; slots]);
-    // `lower_slot[i]`: the slot of kept input edge `i` in its smaller
-    // endpoint's list, where the larger endpoint finds its twin.
-    let mut lower_slot = vec![0u32; n_edges];
     {
         let nbr_ptr = SyncMutPtr::new(&mut neighbors);
         let w_ptr = weights.as_deref_mut().map(SyncMutPtr::new);
-        let lower_ptr = SyncMutPtr::new(&mut lower_slot);
-        for_each_vertex(&|u| {
-            for (s, (v, i)) in (offsets[u]..).zip(segment(u)) {
-                // SAFETY: `s` is in `u`'s output range, which no other
-                // vertex writes; a kept input index `i` has exactly one
-                // lower-endpoint slot.
-                unsafe {
-                    nbr_ptr.write(s, v);
-                    if let Some(w) = w_ptr {
-                        w.write(s, edge(i).2);
-                    }
-                    if (u as VertexId) < v {
-                        lower_ptr.write(i, s as u32);
-                    }
-                }
-            }
-        });
-    }
-    let mut twins = vec![0u32; slots];
-    {
-        let twins_ptr = SyncMutPtr::new(&mut twins);
-        for_each_vertex(&|u| {
-            for (s, (v, i)) in (offsets[u]..).zip(segment(u)) {
-                if (u as VertexId) > v {
-                    let t = lower_slot[i];
-                    // SAFETY: `s` is this upper-endpoint slot and `t` its
-                    // one lower-endpoint partner; each pair is handled by
-                    // its upper endpoint only, so every slot is written
-                    // once.
+        par_for_weighted(&block_len, |b| {
+            for u in (b << shift)..((b + 1) << shift).min(n) {
+                for (s, (v, i)) in (offsets[u]..).zip(segment(u)) {
+                    // SAFETY: `s` is in `u`'s output range, which no other
+                    // vertex writes.
                     unsafe {
-                        twins_ptr.write(s, t);
-                        twins_ptr.write(t as usize, s as u32);
+                        nbr_ptr.write(s, v);
+                        if let Some(w) = w_ptr {
+                            w.write(s, edge(i).2);
+                        }
                     }
                 }
             }
         });
     }
-    CsrGraph::from_parts_unchecked(offsets, neighbors, weights, twins)
+    CsrGraph::from_parts_unchecked(offsets, neighbors, weights)
 }
 
 /// Exclusive prefix sums of `counts` with the total appended: the

@@ -4,8 +4,9 @@
 //! neighbor list and one in `v`'s. Neighbor lists are sorted by vertex id,
 //! which the merge-based similarity computation (§6.1 of the paper)
 //! requires and which makes the twin slot of an edge findable by binary
-//! search. Per-edge quantities (similarities) are stored in slot-indexed
-//! arrays of length `2m`.
+//! search ([`CsrGraph::slot_of`]), or for every slot at once by one
+//! sequential pass ([`CsrGraph::twin_slots`]). Per-edge quantities
+//! (similarities) are stored in slot-indexed arrays of length `2m`.
 
 /// Vertex identifier. `u32` halves the memory traffic of `usize` indices
 /// (a Type-Sizes guideline) and covers every graph this repo targets.
@@ -20,27 +21,21 @@ pub struct CsrGraph {
     neighbors: Vec<VertexId>,
     /// Per-slot weights aligned with `neighbors` (`None` for unweighted).
     weights: Option<Vec<f32>>,
-    /// `twins[s]` is the slot of the mirrored edge: if slot `s` stores
-    /// `(u → v)`, `twins[s]` stores `(v → u)`. Built once at construction
-    /// so per-edge twin lookups are O(1) instead of a binary search.
-    twins: Vec<u32>,
 }
 
-/// Validate raw CSR parts and build the twin-slot permutation in one
-/// `O(n + m)` sequential sweep — the deserialization fast path.
+/// Validate raw CSR parts in one `O(n + m)` sequential sweep — the
+/// deserialization fast path.
 ///
 /// Scanning slots with the owner `u` ascending visits each target `v`'s
 /// mirrored slots in ascending-`u` order too; because neighbor lists are
 /// strictly sorted (checked first), a per-vertex cursor into `v`'s list
 /// must land exactly on `u` at every step iff the graph is symmetric.
-/// Each slot advances one cursor once, so the induced map slot → twin is
-/// total and injective, hence a bijection: no binary searches, and the
-/// symmetry check and twin construction are the same pass.
-fn validate_parts_and_build_twins(
+/// Each slot advances one cursor once, so no binary search is needed.
+fn validate_parts(
     offsets: &[usize],
     neighbors: &[VertexId],
     weights: Option<&[f32]>,
-) -> Result<Vec<u32>, String> {
+) -> Result<(), String> {
     if offsets.is_empty() {
         return Err("offsets must have length n + 1 >= 1".into());
     }
@@ -80,9 +75,8 @@ fn validate_parts_and_build_twins(
             }
         }
     }
-    // Pass 2: fused symmetry check + twin construction (see above).
+    // Pass 2: the symmetry check (see above).
     let mut cursor: Vec<usize> = offsets[..n].to_vec();
-    let mut twins = vec![0u32; slots];
     for u in 0..n {
         for s in offsets[u]..offsets[u + 1] {
             let v = neighbors[s] as usize;
@@ -95,11 +89,10 @@ fn validate_parts_and_build_twins(
                     return Err(format!("asymmetric weight on ({u},{v})"));
                 }
             }
-            twins[s] = t as u32;
             cursor[v] = t + 1;
         }
     }
-    Ok(twins)
+    Ok(())
 }
 
 impl CsrGraph {
@@ -127,33 +120,29 @@ impl CsrGraph {
         neighbors: Vec<VertexId>,
         weights: Option<Vec<f32>>,
     ) -> Result<Self, String> {
-        let twins = validate_parts_and_build_twins(&offsets, &neighbors, weights.as_deref())?;
+        validate_parts(&offsets, &neighbors, weights.as_deref())?;
         Ok(CsrGraph {
             offsets,
             neighbors,
             weights,
-            twins,
         })
     }
 
-    /// Assemble without validation — for internal builders whose output,
-    /// twins included, is correct by construction (checked in debug
-    /// builds).
+    /// Assemble without validation — for internal builders whose output
+    /// is correct by construction (checked in debug builds).
     pub(crate) fn from_parts_unchecked(
         offsets: Vec<usize>,
         neighbors: Vec<VertexId>,
         weights: Option<Vec<f32>>,
-        twins: Vec<u32>,
     ) -> Self {
         debug_assert_eq!(
-            validate_parts_and_build_twins(&offsets, &neighbors, weights.as_deref()).as_ref(),
-            Ok(&twins)
+            validate_parts(&offsets, &neighbors, weights.as_deref()),
+            Ok(())
         );
         CsrGraph {
             offsets,
             neighbors,
             weights,
-            twins,
         }
     }
 
@@ -227,13 +216,25 @@ impl CsrGraph {
         list.binary_search(&v).ok().map(|i| range.start + i)
     }
 
-    /// Slot of the mirrored edge: if `slot` stores `(u → v)`, the returned
-    /// slot stores `(v → u)`. O(1) — precomputed at construction; the
-    /// similarity kernels use it to write canonical + mirror scores in one
-    /// pass instead of binary-searching `slot_of(v, u)` per edge.
-    #[inline]
-    pub fn twin_slot(&self, slot: usize) -> usize {
-        self.twins[slot] as usize
+    /// The twin-slot permutation: if slot `s` stores `(u → v)`, slot
+    /// `twins[s]` stores `(v → u)`. The score writers use it to store an
+    /// edge's score on both of its slots without a binary search per edge.
+    ///
+    /// One sequential `O(n + m)` pass: visiting slots in owner order meets
+    /// each vertex's mirrored slots in its own list order, because the
+    /// lists are sorted and symmetric, so a cursor per vertex finds every
+    /// twin. Sequential on purpose: a parallel binary search per slot
+    /// costs several times as much.
+    pub fn twin_slots(&self) -> Vec<u32> {
+        let n = self.num_vertices();
+        let mut cursor: Vec<u32> = self.offsets[..n].iter().map(|&o| o as u32).collect();
+        let mut twins = vec![0u32; self.num_slots()];
+        for (twin, &v) in twins.iter_mut().zip(&self.neighbors) {
+            let c = &mut cursor[v as usize];
+            *twin = *c;
+            *c += 1;
+        }
+        twins
     }
 
     /// The endpoint vertex that owns `slot` (i.e. `u` such that `slot` is
@@ -274,8 +275,7 @@ impl CsrGraph {
         })
     }
 
-    /// Check all structural invariants, the twin permutation included;
-    /// returns a description on failure.
+    /// Check all structural invariants; returns a description on failure.
     pub fn validate(&self) -> Result<(), String> {
         if self.offsets.is_empty() {
             return Err("offsets must have length n + 1 >= 1".into());
@@ -298,12 +298,11 @@ impl CsrGraph {
         self.check_lists(&all)
     }
 
-    /// Check the lists of `vertices` and the twin pairs of their slots:
-    /// each list strictly sorted, in range and free of self-loops, and
-    /// each of its slots `s` paired with a slot `t = twin(s)` in the
-    /// neighbor's list that points back, with `twin(t) == s` and the same
-    /// weight. `O(Σ deg)` over `vertices`: what a patch checks of the
-    /// lists it rewrote, and [`Self::validate`] of every list.
+    /// Check the lists of `vertices`: each list strictly sorted, in range
+    /// and free of self-loops, and each of its slots `(v → x)` mirrored by
+    /// a slot `(x → v)` in `x`'s list with the same weight.
+    /// `O(Σ deg log deg)` over `vertices`: what a patch checks of the lists
+    /// it rewrote, and [`Self::validate`] of every list.
     pub(crate) fn check_lists(&self, vertices: &[VertexId]) -> Result<(), String> {
         let n = self.num_vertices();
         let errors = parscan_parallel::filter::filter_map_index(vertices.len(), |k| {
@@ -319,13 +318,9 @@ impl CsrGraph {
                 if i > 0 && list[i - 1] >= x {
                     return Some(format!("neighbors of {v} not strictly sorted"));
                 }
-                let t = self.twins[s] as usize;
-                if !self.slot_range(x).contains(&t)
-                    || self.neighbors[t] != v
-                    || self.twins[t] as usize != s
-                {
+                let Some(t) = self.slot_of(x, v) else {
                     return Some(format!("edge ({v},{x}) has no twin"));
-                }
+                };
                 if (self.slot_weight(s) - self.slot_weight(t)).abs() > 1e-6 {
                     return Some(format!("asymmetric weight on ({v},{x})"));
                 }
@@ -364,13 +359,12 @@ impl CsrGraph {
         (&self.offsets, &self.neighbors, self.weights.as_deref())
     }
 
-    /// Bytes held by this graph's owned arrays (offsets, neighbors, the
-    /// twin-slot permutation, and weights when present).
+    /// Bytes held by this graph's owned arrays (offsets, neighbors, and
+    /// weights when present).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of_val;
         size_of_val(&self.offsets[..])
             + size_of_val(&self.neighbors[..])
-            + size_of_val(&self.twins[..])
             + self.weights.as_deref().map_or(0, size_of_val)
     }
 }
@@ -408,14 +402,46 @@ mod tests {
 
     #[test]
     fn twin_slots_are_involution() {
-        let g = triangle();
-        for s in 0..g.num_slots() {
-            let t = g.twin_slot(s);
-            assert_eq!(g.twin_slot(t), s);
-            assert_eq!(g.slot_neighbor(t), g.slot_owner(s));
-            assert_eq!(g.slot_owner(t), g.slot_neighbor(s));
-            assert_eq!(g.slot_of(g.slot_neighbor(s), g.slot_owner(s)), Some(t));
+        use crate::generators;
+        let graphs = [
+            triangle(),
+            generators::erdos_renyi(300, 1500, 7),
+            generators::rmat(10, 8, 3),
+            generators::weighted_planted_partition(200, 4, 8.0, 1.0, 5).0,
+            CsrGraph::from_parts(vec![0, 0, 1, 2, 2, 2], vec![2, 1], None),
+            CsrGraph::from_parts(vec![0], vec![], None),
+        ];
+        for g in &graphs {
+            let twins = g.twin_slots();
+            assert_eq!(twins.len(), g.num_slots());
+            for (s, &t) in twins.iter().enumerate() {
+                let t = t as usize;
+                assert_eq!(twins[t] as usize, s);
+                assert_eq!(g.slot_of(g.slot_neighbor(s), g.slot_owner(s)), Some(t));
+            }
         }
+    }
+
+    #[test]
+    fn check_lists_rejects_a_one_sided_edge_and_an_asymmetric_weight() {
+        // Literals, not `from_parts`: the check must catch what a patch
+        // could assemble without validation.
+        let one_sided = CsrGraph {
+            offsets: vec![0, 2, 3, 4],
+            neighbors: vec![1, 2, 0, 1],
+            weights: None,
+        };
+        let err = one_sided.check_lists(&[0]).unwrap_err();
+        assert!(err.contains("no twin"), "{err}");
+        let lopsided = CsrGraph {
+            offsets: vec![0, 1, 2],
+            neighbors: vec![1, 0],
+            weights: Some(vec![0.5, 0.7]),
+        };
+        let err = lopsided.check_lists(&[0]).unwrap_err();
+        assert!(err.contains("asymmetric weight"), "{err}");
+        assert!(lopsided.check_lists(&[1]).is_err());
+        assert_eq!(triangle().check_lists(&[0, 1, 2]), Ok(()));
     }
 
     #[test]

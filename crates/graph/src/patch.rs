@@ -1,20 +1,19 @@
 //! Batch patching of a CSR graph: splice a small set of edge
 //! insertions/deletions into an existing graph *without* re-sorting all
-//! `2m` directed entries or re-deriving the twin permutation.
+//! `2m` directed entries.
 //!
 //! A vertex is *touched* when the batch changes its list. Every other
 //! list is unchanged, and the untouched vertices between two touched ones
 //! form a run whose slots all shift by one constant, so their neighbors
-//! and weights are block copies ([`clean_pieces`]). A slot pointing into
-//! an untouched list takes its twin from the old twin plus that list's
-//! shift. Touched lists are rebuilt by a linear three-way merge of (old
-//! list, sorted insertions, sorted deletions), and only the slots that
-//! point into a touched list binary-search it for their twin.
+//! and weights are block copies ([`clean_pieces`]). Touched lists are
+//! rebuilt by a linear three-way merge of (old list, sorted insertions,
+//! sorted deletions).
 //!
-//! The graph is assembled without the `O(n + m)` validate-and-twin pass
-//! of [`CsrGraph::try_from_parts`] (debug builds still run it). What the
-//! patch writes fresh — the touched lists and the twins of their slots —
-//! is checked in release builds too, at `O(Σ deg(touched))`.
+//! The graph is assembled without the `O(n + m)` validation pass of
+//! [`CsrGraph::try_from_parts`] (debug builds still run it). What the
+//! patch writes fresh — the touched lists — is checked in release builds
+//! too, each slot's mirror found by binary search, at
+//! `O(Σ deg log deg)` over the touched vertices.
 //!
 //! This is the graph-side half of the dynamic-index extension
 //! (`parscan_core::dynamic`), which copies the clean runs of the scores
@@ -34,9 +33,6 @@ use parscan_parallel::weighted::par_for_weighted;
 /// Longest block copy [`clean_pieces`] hands out, so that one long run of
 /// untouched vertices still splits across threads.
 const PIECE_SLOTS: usize = 1 << 16;
-
-/// A list's shift in [`patch`]'s `moved` table when the list was rebuilt.
-const REBUILT: i64 = i64::MIN;
 
 /// Per-vertex view of the batch: directed delta entries, owner-major.
 struct Deltas {
@@ -100,16 +96,9 @@ impl Deltas {
         &self.del[lo..hi]
     }
 
-    /// Walk `v`'s patched adjacency, invoking `emit(neighbor, weight,
-    /// old_slot)` in ascending-neighbor order, where `old_slot` is the
-    /// edge's slot in `g` unless the batch inserts it (a weight
-    /// replacement keeps its slot). Linear in `deg + Δ_v`.
-    fn merge<F: FnMut(VertexId, f32, Option<usize>)>(
-        &self,
-        g: &CsrGraph,
-        v: VertexId,
-        mut emit: F,
-    ) {
+    /// Walk `v`'s patched adjacency, invoking `emit(neighbor, weight)` in
+    /// ascending-neighbor order. Linear in `deg + Δ_v`.
+    fn merge<F: FnMut(VertexId, f32)>(&self, g: &CsrGraph, v: VertexId, mut emit: F) {
         let (ins, del) = (self.ins_range(v), self.del_range(v));
         let range = g.slot_range(v);
         let mut i = range.start;
@@ -122,7 +111,7 @@ impl Deltas {
             // insertion replaces the existing edge's weight.
             let take_old = match (old_nbr, ins_nbr) {
                 (Some(x), Some(y)) if x == y => {
-                    emit(y, ins[j].2, Some(i));
+                    emit(y, ins[j].2);
                     i += 1;
                     j += 1;
                     continue;
@@ -140,11 +129,11 @@ impl Deltas {
                 if k < del.len() && del[k].1 == x {
                     k += 1; // deleted
                 } else {
-                    emit(x, g.slot_weight(i), Some(i));
+                    emit(x, g.slot_weight(i));
                 }
                 i += 1;
             } else {
-                emit(ins_nbr.expect("insert side present"), ins[j].2, None);
+                emit(ins_nbr.expect("insert side present"), ins[j].2);
                 j += 1;
             }
         }
@@ -183,8 +172,8 @@ pub fn clean_pieces(
 /// Apply a batch of edge updates to `g`, returning the patched graph.
 ///
 /// # Panics
-/// Panics if any endpoint is out of range, or if the lists and twins the
-/// patch rewrote fail [`CsrGraph`]'s invariants.
+/// Panics if any endpoint is out of range, or if the lists the patch
+/// rewrote fail [`CsrGraph`]'s invariants.
 pub fn patch(
     g: &CsrGraph,
     insertions: &[(VertexId, VertexId, f32)],
@@ -211,7 +200,7 @@ pub fn patch(
     // the merge.
     let touched_degrees: Vec<usize> = par_map(touched.len(), 1, |k| {
         let mut count = 0usize;
-        deltas.merge(g, touched[k], |_, _, _| count += 1);
+        deltas.merge(g, touched[k], |_, _| count += 1);
         count
     });
     let mut degrees: Vec<usize> = par_map(n, 4096, |v| g.degree(v as VertexId));
@@ -224,25 +213,11 @@ pub fn patch(
         total <= u32::MAX as usize,
         "slot count exceeds u32 index space"
     );
-    // How far each untouched list moved.
-    let mut moved: Vec<i64> = par_map(n, 4096, |v| offsets[v] as i64 - old_offsets[v] as i64);
-    for &t in &touched {
-        moved[t as usize] = REBUILT;
-    }
-    // The twin of a kept slot whose target list is untouched: the old
-    // twin, moved with that list. `None` when the target list was
-    // rebuilt; the second pass below sets those.
-    let moved_twin = |old_slot: usize| {
-        let shift = moved[old_neighbors[old_slot] as usize];
-        (shift != REBUILT).then(|| (g.twin_slot(old_slot) as i64 + shift) as u32)
-    };
 
     let mut neighbors = vec![0 as VertexId; total];
     let mut weights = old_weights.map(|_| vec![0f32; total]);
-    let mut twins = vec![0u32; total];
     let nbr_ptr = SyncMutPtr::new(&mut neighbors);
     let w_ptr = weights.as_deref_mut().map(SyncMutPtr::new);
-    let twin_ptr = SyncMutPtr::new(&mut twins);
     let pieces = clean_pieces(old_offsets, &offsets, &touched);
     par_for(pieces.len(), 1, |p| {
         let (old, new, len) = pieces[p];
@@ -256,17 +231,12 @@ pub fn patch(
                 w.slice_mut(new, len)
                     .copy_from_slice(&old_w[old..old + len]);
             }
-            for k in 0..len {
-                if let Some(t) = moved_twin(old + k) {
-                    twin_ptr.write(new + k, t);
-                }
-            }
         }
     });
     par_for_weighted(&touched_degrees, |k| {
         let v = touched[k];
         let mut pos = offsets[v as usize];
-        deltas.merge(g, v, |x, w, old_slot| {
+        deltas.merge(g, v, |x, w| {
             // SAFETY: `pos` stays inside `v`'s new range, which only this
             // iteration writes.
             unsafe {
@@ -274,43 +244,13 @@ pub fn patch(
                 if let Some(wp) = &w_ptr {
                     wp.write(pos, w);
                 }
-                if let Some(t) = old_slot.and_then(moved_twin) {
-                    twin_ptr.write(pos, t);
-                }
             }
             pos += 1;
         });
         debug_assert_eq!(pos, offsets[v as usize + 1]);
     });
-    // Second pass, per touched vertex `v` and slot `s = (v → x)`. When
-    // `x`'s list is untouched, `s` already holds its twin `t = (x → v)`,
-    // and `v` is the only vertex that sets `t`'s twin, to `s`. Otherwise
-    // `s` binary-searches `v` in `x`'s new list, and `x`'s own iteration
-    // sets the twin of the slot it finds.
-    par_for_weighted(&touched_degrees, |k| {
-        let v = touched[k];
-        let range = offsets[v as usize]..offsets[v as usize + 1];
-        // SAFETY: every slot this iteration writes is either in `v`'s own
-        // range or in an untouched list's slot for `v`, which only `v`'s
-        // iteration writes; the neighbor lists are only read.
-        unsafe {
-            let own = twin_ptr.slice_mut(range.start, range.len());
-            for (s, twin) in range.zip(own) {
-                let x = neighbors[s] as usize;
-                if moved[x] != REBUILT {
-                    twin_ptr.write(*twin as usize, s as u32);
-                } else {
-                    let list = &neighbors[offsets[x]..offsets[x + 1]];
-                    // A miss leaves an out-of-range twin for the check below.
-                    *twin = list
-                        .binary_search(&v)
-                        .map_or(u32::MAX, |i| (offsets[x] + i) as u32);
-                }
-            }
-        }
-    });
 
-    let patched = CsrGraph::from_parts_unchecked(offsets, neighbors, weights, twins);
+    let patched = CsrGraph::from_parts_unchecked(offsets, neighbors, weights);
     if let Err(e) = patched.check_lists(&touched) {
         panic!("patch broke a CSR invariant: {e}");
     }

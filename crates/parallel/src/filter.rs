@@ -4,9 +4,9 @@
 //! may be stateful-by-side-effect, e.g. "insert into hash set succeeded").
 
 use crate::pool::{chunk_ranges, global};
-use crate::utils::{SyncMutPtr, SyncPtr};
-use parking_lot::Mutex;
+use crate::utils::{lock_mutex, SyncMutPtr, SyncPtr};
 use std::mem::MaybeUninit;
+use std::sync::{Mutex, PoisonError};
 
 /// Keep elements of `input` whose `pred` holds, preserving order.
 pub fn filter<T, P>(input: &[T], pred: P) -> Vec<T>
@@ -50,9 +50,9 @@ where
                 local.push(v);
             }
         }
-        buffers.lock()[c] = local;
+        lock_mutex(&buffers)[c] = local;
     });
-    let buffers = buffers.into_inner();
+    let buffers = buffers.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut offsets = vec![0usize; n_chunks];
     let mut total = 0usize;
     for (c, b) in buffers.iter().enumerate() {

@@ -27,13 +27,13 @@
 //! only ever dereferences the closure for a successfully claimed chunk,
 //! which can no longer happen once all chunks are taken.
 
-use parking_lot::{Condvar, Mutex};
+use crate::utils::lock_mutex;
 use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// A lifetime-erased reference to the per-chunk closure.
 #[derive(Clone, Copy)]
@@ -68,7 +68,7 @@ impl Job {
             // n_chunks`, so the closure is alive for every claimed chunk.
             let f = unsafe { &*self.func.0 };
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
-                self.panic.lock().get_or_insert(payload);
+                lock_mutex(&self.panic).get_or_insert(payload);
             }
             self.finished.fetch_add(1, Ordering::Release);
         }
@@ -166,7 +166,7 @@ impl ThreadPool {
             return;
         }
 
-        let _guard = self.submit.lock();
+        let _guard = lock_mutex(&self.submit);
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: see module-level safety comment; `run` blocks until every
         // chunk finished, so erasing the lifetime of `f` is sound.
@@ -185,7 +185,7 @@ impl ThreadPool {
         });
 
         {
-            let mut slot = self.shared.slot.lock();
+            let mut slot = lock_mutex(&self.shared.slot);
             slot.0 += 1;
             slot.1 = Some(Arc::clone(&job));
             self.shared.job_ready.notify_all();
@@ -199,14 +199,18 @@ impl ThreadPool {
 
         // Wait for stragglers still finishing claimed chunks.
         if !job.is_done() {
-            let mut slot = self.shared.slot.lock();
+            let mut slot = lock_mutex(&self.shared.slot);
             while !job.is_done() {
-                self.shared.job_done.wait(&mut slot);
+                slot = self
+                    .shared
+                    .job_done
+                    .wait(slot)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
         // Retire the job so late-waking workers do not rescan it.
-        self.shared.slot.lock().1 = None;
-        let panic = job.panic.lock().take();
+        lock_mutex(&self.shared.slot).1 = None;
+        let panic = lock_mutex(&job.panic).take();
         if let Some(payload) = panic {
             resume_unwind(payload);
         }
@@ -216,7 +220,7 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        let _slot = self.shared.slot.lock();
+        let _slot = lock_mutex(&self.shared.slot);
         self.shared.job_ready.notify_all();
     }
 }
@@ -226,7 +230,7 @@ fn worker_loop(id: usize, shared: Arc<Shared>) {
     let mut last_seen = 0u64;
     loop {
         let job = {
-            let mut slot = shared.slot.lock();
+            let mut slot = lock_mutex(&shared.slot);
             loop {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return;
@@ -240,14 +244,17 @@ fn worker_loop(id: usize, shared: Arc<Shared>) {
                     }
                     break None;
                 }
-                shared.job_ready.wait(&mut slot);
+                slot = shared
+                    .job_ready
+                    .wait(slot)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         if let Some(job) = job {
             job.work();
             if job.is_done() {
                 // The submitter may be waiting on `job_done`.
-                let _slot = shared.slot.lock();
+                let _slot = lock_mutex(&shared.slot);
                 shared.job_done.notify_all();
             }
         }

@@ -4,8 +4,8 @@
 //! span in the fork-join model (the chunk-total scan is `O(P)`).
 
 use crate::pool::{chunk_ranges, global};
-use crate::utils::SyncMutPtr;
-use parking_lot::Mutex;
+use crate::utils::{lock_mutex, SyncMutPtr};
+use std::sync::{Mutex, PoisonError};
 
 /// Exclusive prefix sum of `input`; returns `(prefixes, total)` where
 /// `prefixes[i] = input[0] + ... + input[i-1]`.
@@ -36,9 +36,11 @@ pub fn exclusive_scan_into(input: &[usize], out: &mut [usize]) -> usize {
     let chunk_totals: Mutex<Vec<usize>> = Mutex::new(vec![0usize; n_chunks]);
     global().run(n_chunks, |c| {
         let total: usize = input[ranges[c].clone()].iter().sum();
-        chunk_totals.lock()[c] = total;
+        lock_mutex(&chunk_totals)[c] = total;
     });
-    let totals = chunk_totals.into_inner();
+    let totals = chunk_totals
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let mut offsets = vec![0usize; n_chunks];
     let mut acc = 0usize;
     for (c, t) in totals.iter().enumerate() {

@@ -2,10 +2,10 @@
 //! `reduce` (§2.3.2 of the paper).
 
 use crate::pool::{chunk_ranges, global};
-use crate::utils::SyncMutPtr;
-use parking_lot::Mutex;
+use crate::utils::{lock_mutex, SyncMutPtr};
 use std::mem::MaybeUninit;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Default grain size for cheap per-element bodies.
 pub const DEFAULT_GRAIN: usize = 2048;
@@ -79,10 +79,11 @@ where
         for i in ranges[c].clone() {
             acc = combine(acc, map(i));
         }
-        partials.lock()[c] = Some(acc);
+        lock_mutex(&partials)[c] = Some(acc);
     });
     partials
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|p| p.expect("all chunks completed"))
         .fold(id, &combine)

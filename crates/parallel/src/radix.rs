@@ -15,9 +15,9 @@
 use crate::filter::filter_map_index;
 use crate::pool::{chunk_ranges, global};
 use crate::primitives::{par_for_range, par_map};
-use crate::utils::{SyncMutPtr, SyncPtr};
+use crate::utils::{lock_mutex, SyncMutPtr, SyncPtr};
 use crate::weighted::par_for_weighted_range;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 const RADIX_BITS: u32 = 8;
 const RADIX: usize = 1 << RADIX_BITS;
@@ -173,9 +173,9 @@ fn radix_pass<T, K>(
             let d = ((key(x) >> shift) & (RADIX as u64 - 1)) as usize;
             local[d] += 1;
         }
-        counts.lock()[c] = local;
+        lock_mutex(&counts)[c] = local;
     });
-    let mut counts = counts.into_inner();
+    let mut counts = counts.into_inner().unwrap_or_else(PoisonError::into_inner);
 
     // Digit-major exclusive scan: offset for (digit d, chunk c) is the count
     // of all (d', *) with d' < d plus (d, c') with c' < c. O(256 * chunks).

@@ -1,7 +1,14 @@
 //! Small shared helpers: pointer wrappers for disjoint parallel writes,
-//! worker-scratch pooling, hashing, and integer math.
+//! worker-scratch pooling, poison-recovering locks, hashing, and integer
+//! math.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock a mutex, recovering from poisoning: a panicked holder must not
+/// wedge the pool or the serving layer that share this helper.
+pub fn lock_mutex<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A free list of worker-private scratch values for flat parallel loops.
 ///
@@ -31,17 +38,19 @@ impl<T, F: Fn() -> T> ScratchPool<T, F> {
         // Drop the lock before running `make`: first-time values can be
         // large allocations (per-worker accumulators), and holding the
         // free-list lock through them would serialize worker startup.
-        let pooled = self.free.lock().pop();
+        let pooled = lock_mutex(&self.free).pop();
         let mut value = pooled.unwrap_or_else(&self.make);
         let result = f(&mut value);
-        self.free.lock().push(value);
+        lock_mutex(&self.free).push(value);
         result
     }
 
     /// Consume the pool, yielding every value created over its lifetime
     /// (used to reduce per-worker accumulators after a parallel loop).
     pub fn into_values(self) -> Vec<T> {
-        self.free.into_inner()
+        self.free
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -149,6 +158,20 @@ mod tests {
         let values = pool.into_values();
         assert_eq!(values.len(), 1);
         assert_eq!(values[0].len(), 10);
+    }
+
+    #[test]
+    fn lock_mutex_recovers_a_poisoned_lock() {
+        let m = std::sync::Arc::new(Mutex::new(7));
+        let m2 = std::sync::Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock_mutex(&m2);
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock_mutex(&m) += 1;
+        assert_eq!(*lock_mutex(&m), 8);
     }
 
     #[test]

@@ -90,12 +90,7 @@ pub use registry::{
 };
 pub use server::{serve, ServerHandle};
 
-/// Lock a mutex, recovering from poisoning — a panicked holder must not
-/// wedge the serving layer (shared by the engine's in-flight table and
-/// the registry's load slots).
-pub(crate) fn lock_mutex<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+pub(crate) use parscan_parallel::utils::lock_mutex;
 
 /// [`lock_mutex`]'s sibling for `RwLock` readers.
 pub(crate) fn read_lock<T>(l: &std::sync::RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {

@@ -11,7 +11,7 @@
 //! - [`graph`] — CSR graphs, builders, generators, I/O: edge-list text,
 //!   binary, METIS ([`parscan_graph`])
 //! - [`core`] — the SCAN index, queries, persistence, the (μ, ε) sweep
-//!   engine, batch dynamic updates, and ε-hierarchies ([`parscan_core`])
+//!   engine, and batch dynamic updates ([`parscan_core`])
 //! - [`approx`] — LSH approximation ([`parscan_approx`])
 //! - [`baselines`] — original SCAN, sequential GS*-Index, pSCAN/ppSCAN,
 //!   SCAN-XP ([`parscan_baselines`])
