@@ -11,11 +11,11 @@
 use crate::minhash::{KPartitionMinHash, StandardMinHash};
 use crate::simhash::SimHashSketches;
 use parscan_core::similarity::SimilarityMeasure;
-use parscan_core::similarity_exact::{open_intersection_value, EdgeSimilarities};
+use parscan_core::similarity_exact::{
+    closed_norms, open_intersection_value, score_canonical_slots, score_edge, EdgeSimilarities,
+};
 use parscan_core::{ScanIndex, SortStrategy};
 use parscan_graph::{CsrGraph, VertexId};
-use parscan_parallel::primitives::{par_for, par_map};
-use parscan_parallel::utils::SyncMutPtr;
 
 /// Which LSH scheme approximates which measure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -55,16 +55,15 @@ impl ApproxMethod {
     }
 }
 
-/// Approximate construction configuration.
+/// Approximate construction configuration. The §6.3 low-degree
+/// heuristic always applies, and the orders always sort with integer keys
+/// (estimates are scaled integers, Theorem 5.1).
 #[derive(Clone, Copy, Debug)]
 pub struct ApproxConfig {
     pub method: ApproxMethod,
     /// Number of LSH samples `k`.
     pub samples: usize,
     pub seed: u64,
-    /// Apply the §6.3 low-degree heuristic (disable to sketch everything).
-    pub degree_heuristic: bool,
-    pub sort: SortStrategy,
 }
 
 impl Default for ApproxConfig {
@@ -73,8 +72,6 @@ impl Default for ApproxConfig {
             method: ApproxMethod::default(),
             samples: 256,
             seed: 0,
-            degree_heuristic: true,
-            sort: SortStrategy::Integer,
         }
     }
 }
@@ -105,11 +102,7 @@ pub fn approx_similarities(g: &CsrGraph, config: &ApproxConfig) -> EdgeSimilarit
         config.method.name()
     );
     let k = config.samples;
-    let threshold = if config.degree_heuristic {
-        config.method.degree_threshold(k)
-    } else {
-        0
-    };
+    let threshold = config.method.degree_threshold(k);
 
     // Sketch a vertex only if it is high-degree and has a high-degree
     // neighbor (otherwise no edge will ever consult its sketch).
@@ -127,52 +120,22 @@ pub fn approx_similarities(g: &CsrGraph, config: &ApproxConfig) -> EdgeSimilarit
         }
     };
 
-    let norms: Option<Vec<f64>> = g
-        .is_weighted()
-        .then(|| par_map(g.num_vertices(), 1024, |v| g.closed_norm_sq(v as VertexId)));
-
-    let n = g.num_vertices();
-    let twins = g.twin_slots();
-    let mut sims = vec![0f32; g.num_slots()];
-    let ptr = SyncMutPtr::new(&mut sims);
-    // Pass 1: canonical slots — estimate when both endpoints sketched,
-    // exact merge otherwise.
-    par_for(n, 64, |u| {
-        let u = u as VertexId;
-        for s in g.slot_range(u) {
-            let v = g.slot_neighbor(s);
-            if v <= u {
-                continue;
-            }
-            let score = if high(u) && high(v) {
-                sketcher.estimate(u, v)
-            } else {
-                let open = open_intersection_value(g, s);
-                match &norms {
-                    Some(norms) => measure.score_weighted(
-                        open,
-                        g.slot_weight(s) as f64,
-                        norms[u as usize],
-                        norms[v as usize],
-                    ) as f32,
-                    None => measure.score_unweighted(open as u64, g.degree(u), g.degree(v)) as f32,
-                }
-            };
-            // SAFETY: the canonical (u, v) pair is the only writer of
-            // slot `s` and of its twin.
-            unsafe {
-                ptr.write(s, score);
-                ptr.write(twins[s] as usize, score);
-            }
+    // Estimate when both endpoints are sketched, exact merge otherwise.
+    let norms = closed_norms(g);
+    score_canonical_slots(g, |u, v, s| {
+        if high(u) && high(v) {
+            sketcher.estimate(u, v)
+        } else {
+            let norms = norms.as_ref().map(|x| (x[u as usize], x[v as usize]));
+            score_edge(g, measure, (u, v, s), open_intersection_value(g, s), norms)
         }
-    });
-    EdgeSimilarities::from_per_slot(sims)
+    })
 }
 
 /// Build a full approximate SCAN index.
 pub fn build_approx_index(graph: CsrGraph, config: ApproxConfig) -> ScanIndex {
     let sims = approx_similarities(&graph, &config);
-    ScanIndex::from_similarities(graph, sims, config.method.measure(), config.sort)
+    ScanIndex::from_similarities(graph, sims, config.method.measure(), SortStrategy::Integer)
 }
 
 #[cfg(test)]
@@ -202,17 +165,14 @@ mod tests {
     fn approximate_clustering_close_to_exact() {
         // Small dense communities: intra-edge cosine ≈ 0.7, inter ≈ 0.15,
         // so a mid ε separates them with margin ≫ the k=512 LSH error.
+        // Every vertex is sketched and every edge estimated: no §6.3
+        // exact fallback.
         let (g, _) = generators::planted_partition(400, 20, 12.0, 0.5, 9);
         let exact_idx = ScanIndex::build(g.clone(), IndexConfig::default());
-        let approx_idx = build_approx_index(
-            g,
-            ApproxConfig {
-                samples: 512,
-                degree_heuristic: false, // force sketches everywhere
-                seed: 3,
-                ..Default::default()
-            },
-        );
+        let sketches = SimHashSketches::build(&g, 512, 3, |v| g.degree(v) > 0);
+        let sims = score_canonical_slots(&g, |u, v, _| sketches.estimate(u, v));
+        let approx_idx =
+            ScanIndex::from_similarities(g, sims, SimilarityMeasure::Cosine, SortStrategy::Integer);
         let params = QueryParams::new(3, 0.45);
         let a = exact_idx.cluster_with(params, parscan_core::BorderAssignment::MostSimilar);
         let b = approx_idx.cluster_with(params, parscan_core::BorderAssignment::MostSimilar);
@@ -237,7 +197,6 @@ mod tests {
                 ApproxConfig {
                     method,
                     samples: 128,
-                    degree_heuristic: true,
                     ..Default::default()
                 },
             );
@@ -276,15 +235,13 @@ mod tests {
 
     #[test]
     fn heuristic_reduces_sketched_set() {
-        // Heavy-tailed graph: with the heuristic only hubs get sketched,
-        // and estimates differ from the no-heuristic run only on hub-hub
-        // edges.
+        // Heavy-tailed graph: the heuristic sketches only hubs, so every
+        // edge with a low-degree endpoint keeps its exact score.
         let g = generators::rmat(10, 16, 7);
         let with = approx_similarities(
             &g,
             &ApproxConfig {
                 samples: 32,
-                degree_heuristic: true,
                 ..Default::default()
             },
         );

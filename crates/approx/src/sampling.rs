@@ -22,7 +22,7 @@
 //! phase shrinks by roughly `p` (vs the LSH path's `O(km)`).
 
 use parscan_core::similarity::SimilarityMeasure;
-use parscan_core::similarity_exact::EdgeSimilarities;
+use parscan_core::similarity_exact::{closed_norms, score_canonical_slots, EdgeSimilarities};
 use parscan_core::{ScanIndex, SortStrategy};
 use parscan_graph::{CsrGraph, VertexId};
 use parscan_parallel::prefix::exclusive_scan_usize;
@@ -36,8 +36,6 @@ pub struct SamplingConfig {
     pub keep_probability: f64,
     /// Seed for the (deterministic, hash-based) sampling decisions.
     pub seed: u64,
-    /// Sort strategy for the order-construction phase.
-    pub sort: SortStrategy,
 }
 
 impl Default for SamplingConfig {
@@ -45,7 +43,6 @@ impl Default for SamplingConfig {
         SamplingConfig {
             keep_probability: 0.5,
             seed: 1,
-            sort: SortStrategy::Integer,
         }
     }
 }
@@ -125,62 +122,46 @@ pub fn sampled_similarities_for(
     let threshold = (p * u64::MAX as f64) as u64;
     let lists = build_sampled_lists(g, config.seed, threshold);
     let inv_p = 1.0 / p;
-    let n = g.num_vertices();
-    let norms: Option<Vec<f64>> = g
-        .is_weighted()
-        .then(|| par_map(n, 1024, |v| g.closed_norm_sq(v as VertexId)));
-
-    let twins = g.twin_slots();
-    let mut sims = vec![0f32; g.num_slots()];
-    let ptr = SyncMutPtr::new(&mut sims);
-    // Canonical pass: score each u < v edge from the sampled sublists.
-    par_for(n, 64, |u| {
-        let uu = u as VertexId;
-        for s in g.slot_range(uu) {
-            let v = g.slot_neighbor(s);
-            if v <= uu {
-                continue;
-            }
-            let (au, bu) = (lists.offsets[u], lists.offsets[u + 1]);
-            let (av, bv) = (lists.offsets[v as usize], lists.offsets[v as usize + 1]);
-            // Sorted-merge the kept sublists; endpoints u, v are excluded
-            // from the *open* intersection by id check.
-            let mut i = au;
-            let mut j = av;
-            let mut open = 0.0f64;
-            while i < bu && j < bv {
-                let (x, y) = (lists.nbr[i], lists.nbr[j]);
-                match x.cmp(&y) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        if x != uu && x != v {
-                            open += match &lists.weight {
-                                Some(w) => (w[i] as f64) * (w[j] as f64),
-                                None => 1.0,
-                            };
-                        }
-                        i += 1;
-                        j += 1;
+    let norms = closed_norms(g);
+    // Score each canonical u < v edge from the sampled sublists.
+    score_canonical_slots(g, |u, v, s| {
+        let (au, bu) = (lists.offsets[u as usize], lists.offsets[u as usize + 1]);
+        let (av, bv) = (lists.offsets[v as usize], lists.offsets[v as usize + 1]);
+        // Sorted-merge the kept sublists; endpoints u, v are excluded
+        // from the *open* intersection by id check.
+        let mut i = au;
+        let mut j = av;
+        let mut open = 0.0f64;
+        while i < bu && j < bv {
+            let (x, y) = (lists.nbr[i], lists.nbr[j]);
+            match x.cmp(&y) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    if x != u && x != v {
+                        open += match &lists.weight {
+                            Some(w) => (w[i] as f64) * (w[j] as f64),
+                            None => 1.0,
+                        };
                     }
+                    i += 1;
+                    j += 1;
                 }
             }
-            let est = open * inv_p;
-            let score = match &norms {
-                Some(norms) => measure
-                    .score_weighted(est, g.slot_weight(s) as f64, norms[u], norms[v as usize])
-                    .clamp(0.0, 1.0) as f32,
-                None => measure.score_unweighted_estimate(est, g.degree(uu), g.degree(v)) as f32,
-            };
-            // SAFETY: the canonical (u, v) pair is the only writer of
-            // slot `s` and of its twin.
-            unsafe {
-                ptr.write(s, score);
-                ptr.write(twins[s] as usize, score);
-            }
         }
-    });
-    EdgeSimilarities::from_per_slot(sims)
+        let est = open * inv_p;
+        match &norms {
+            Some(norms) => measure
+                .score_weighted(
+                    est,
+                    g.slot_weight(s) as f64,
+                    norms[u as usize],
+                    norms[v as usize],
+                )
+                .clamp(0.0, 1.0) as f32,
+            None => measure.score_unweighted_estimate(est, g.degree(u), g.degree(v)) as f32,
+        }
+    })
 }
 
 /// Build a full SCAN index from sampling-estimated similarities — the
@@ -191,7 +172,7 @@ pub fn build_sampled_index(
     measure: SimilarityMeasure,
 ) -> ScanIndex {
     let sims = sampled_similarities_for(&graph, &config, measure);
-    ScanIndex::from_similarities(graph, sims, measure, config.sort)
+    ScanIndex::from_similarities(graph, sims, measure, SortStrategy::Integer)
 }
 
 #[cfg(test)]
@@ -250,7 +231,6 @@ mod tests {
                 let config = SamplingConfig {
                     keep_probability: 0.5,
                     seed,
-                    ..Default::default()
                 };
                 let est = sampled_similarities_for(&g, &config, SimilarityMeasure::Cosine);
                 sum += est.slot(s) as f64;
@@ -270,7 +250,6 @@ mod tests {
         let config = SamplingConfig {
             keep_probability: 0.3,
             seed: 42,
-            ..Default::default()
         };
         let a = sampled_similarities_for(&g, &config, SimilarityMeasure::Jaccard);
         let b = sampled_similarities_for(&g, &config, SimilarityMeasure::Jaccard);
@@ -285,7 +264,6 @@ mod tests {
             SamplingConfig {
                 keep_probability: 0.6,
                 seed: 5,
-                ..Default::default()
             },
             SimilarityMeasure::Cosine,
         );

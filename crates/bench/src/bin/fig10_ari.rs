@@ -9,7 +9,7 @@
 
 use parscan_approx::{build_approx_index, ApproxConfig, ApproxMethod};
 use parscan_bench::{datasets, params, timing};
-use parscan_core::{IndexConfig, ScanIndex, SimilarityMeasure, SortStrategy};
+use parscan_core::{IndexConfig, ScanIndex, SimilarityMeasure};
 use parscan_metrics::adjusted_rand_index;
 
 fn sample_counts() -> Vec<usize> {
@@ -46,8 +46,6 @@ fn main() {
                     method,
                     samples: k,
                     seed: 7 * k as u64 + 1,
-                    degree_heuristic: true,
-                    sort: SortStrategy::Integer,
                 };
                 let (t_build, index) = timing::time_once(|| build_approx_index(g.clone(), config));
                 let approx = index.cluster(best).labels_with_singletons();

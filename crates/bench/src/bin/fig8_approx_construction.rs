@@ -45,8 +45,6 @@ fn main() {
                         method: ApproxMethod::SimHashCosine,
                         samples: k,
                         seed: log2k as u64,
-                        degree_heuristic: true,
-                        ..Default::default()
                     },
                 ));
             });
@@ -58,8 +56,6 @@ fn main() {
                             method: ApproxMethod::KPartitionMinHashJaccard,
                             samples: k,
                             seed: log2k as u64,
-                            degree_heuristic: true,
-                            ..Default::default()
                         },
                     ));
                 })

@@ -64,8 +64,6 @@ fn main() {
                     method,
                     samples: k,
                     seed: k as u64,
-                    degree_heuristic: true,
-                    sort: SortStrategy::Integer,
                 };
                 let (t_build, index) = timing::time_once(|| build_approx_index(g.clone(), config));
                 let (q, _) = params::best_modularity(&index);

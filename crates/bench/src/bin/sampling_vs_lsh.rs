@@ -11,7 +11,7 @@
 use parscan_approx::sampling::{build_sampled_index, SamplingConfig};
 use parscan_approx::{build_approx_index, ApproxConfig, ApproxMethod};
 use parscan_bench::{datasets, params, timing};
-use parscan_core::{IndexConfig, ScanIndex, SimilarityMeasure, SortStrategy};
+use parscan_core::{IndexConfig, ScanIndex, SimilarityMeasure};
 use parscan_metrics::adjusted_rand_index;
 
 fn main() {
@@ -57,8 +57,6 @@ fn main() {
                         method: ApproxMethod::SimHashCosine,
                         samples: k,
                         seed: k as u64,
-                        degree_heuristic: true,
-                        sort: SortStrategy::Integer,
                     },
                 )
             });
@@ -71,7 +69,6 @@ fn main() {
                     SamplingConfig {
                         keep_probability: p,
                         seed: (p * 1000.0) as u64,
-                        sort: SortStrategy::Integer,
                     },
                     SimilarityMeasure::Cosine,
                 )

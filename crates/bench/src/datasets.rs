@@ -112,12 +112,6 @@ pub fn datasets() -> Vec<Dataset> {
     NAMES.iter().map(|n| dataset(n)).collect()
 }
 
-/// The unweighted subset (GS*-Index / ppSCAN baselines run on these only,
-/// matching §7.1).
-pub fn unweighted_names() -> Vec<&'static str> {
-    vec!["orkut-sim", "brain-sim", "webbase-sim", "friendster-sim"]
-}
-
 /// The weighted, dense subset (where the MM variant runs, §7.3.1).
 pub fn dense_weighted_names() -> Vec<&'static str> {
     vec!["bloodvessel-sim", "cochlea-sim"]

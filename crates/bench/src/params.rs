@@ -1,7 +1,8 @@
 //! The parameter grid Σ of Equation (1) in §7.3.4, scaled for laptop
 //! budgets: μ over powers of two, ε over a uniform grid. The paper sweeps
-//! μ ∈ {2, 4, …, 2^18} × ε ∈ {.01, …, .99}; the defaults here keep the
-//! same shape with a coarser ε step (override with `PARSCAN_EPS_STEP`).
+//! μ ∈ {2, 4, …, 2^18} × ε ∈ {.01, …, .99}, which is
+//! `SweepGrid::stepped(max_mu, 0.01)`; the defaults here keep the same
+//! shape with a coarser ε step (override with `PARSCAN_EPS_STEP`).
 //!
 //! The sweep itself is the library's [`parscan_core::sweep()`] engine —
 //! grid points run in parallel against the shared index.
@@ -23,11 +24,6 @@ pub fn eps_step() -> f32 {
 /// `max_mu`, at the configured ε step.
 pub fn sigma_sweep_grid(max_mu: u32) -> SweepGrid {
     SweepGrid::stepped(max_mu, eps_step())
-}
-
-/// The flat (μ, ε) list of the grid (μ-major), for harnesses that iterate.
-pub fn sigma_grid(max_mu: u32) -> Vec<QueryParams> {
-    sigma_sweep_grid(max_mu).points()
 }
 
 /// Best modularity over the grid, using the deterministic most-similar
@@ -53,7 +49,7 @@ mod tests {
 
     #[test]
     fn grid_shape() {
-        let grid = sigma_grid(16);
+        let grid = sigma_sweep_grid(16).points();
         // μ ∈ {2,4,8,16}, ε in (0,1) stepping by eps_step.
         let mus: std::collections::BTreeSet<u32> = grid.iter().map(|p| p.mu).collect();
         assert_eq!(mus.into_iter().collect::<Vec<_>>(), vec![2, 4, 8, 16]);
@@ -75,7 +71,7 @@ mod tests {
         let index = parscan_core::ScanIndex::build(g, IndexConfig::default());
         let (q, params) = best_modularity(&index);
         let mut best = (f64::NEG_INFINITY, QueryParams::new(2, eps_step()));
-        for p in sigma_grid(index.graph().max_degree() as u32 + 1) {
+        for p in sigma_sweep_grid(index.graph().max_degree() as u32 + 1).points() {
             let c = index.cluster_with(p, parscan_core::BorderAssignment::MostSimilar);
             if c.num_clusters() == 0 {
                 continue;

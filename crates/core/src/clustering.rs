@@ -95,27 +95,6 @@ impl Clustering {
         map
     }
 
-    /// Labels renumbered to `0..num_clusters` (order of first appearance),
-    /// `UNCLUSTERED` preserved. Handy for metrics and display.
-    pub fn renumbered_labels(&self) -> Vec<u32> {
-        let mut next = 0u32;
-        let mut remap: HashMap<u32, u32> = HashMap::new();
-        self.labels
-            .iter()
-            .map(|&l| {
-                if l == UNCLUSTERED {
-                    UNCLUSTERED
-                } else {
-                    *remap.entry(l).or_insert_with(|| {
-                        let id = next;
-                        next += 1;
-                        id
-                    })
-                }
-            })
-            .collect()
-    }
-
     /// Treat every unclustered vertex as a singleton cluster — the
     /// convention the paper's modularity evaluation uses (§7.3.4).
     pub fn labels_with_singletons(&self) -> Vec<u32> {
@@ -157,12 +136,6 @@ mod tests {
         assert_eq!(members[&0], vec![0, 1, 2]);
         assert_eq!(members[&4], vec![4, 5]);
         assert_eq!(members.len(), 2);
-    }
-
-    #[test]
-    fn renumbering_is_dense() {
-        let labels = sample().renumbered_labels();
-        assert_eq!(labels, vec![0, 0, 0, UNCLUSTERED, 1, 1]);
     }
 
     #[test]

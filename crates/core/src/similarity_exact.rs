@@ -511,9 +511,10 @@ pub fn open_intersection_value(g: &CsrGraph, s: usize) -> f64 {
 
 /// The score of the edge `(u, v)` in `u`'s slot `s`, from its
 /// open-neighborhood value `open` and, on weighted graphs, the closed
-/// norms of `u` and `v`. The build and the batch update both score every
-/// edge through here on its canonical slot (`u < v`), so their bits agree.
-pub(crate) fn score_edge(
+/// norms of `u` and `v` (see [`closed_norms`]). The build, the batch
+/// update and the LSH estimator's exact fallback all score an edge
+/// through here on its canonical slot (`u < v`), so their bits agree.
+pub fn score_edge(
     g: &CsrGraph,
     measure: SimilarityMeasure,
     (u, v, s): (VertexId, VertexId, usize),
@@ -528,9 +529,55 @@ pub(crate) fn score_edge(
     }
 }
 
-/// Score every canonical slot with `open_value(slot)` and write the
-/// canonical + mirror slots in one pass: `twins`, `g`'s
-/// [`CsrGraph::twin_slots`], makes the mirror a plain store.
+/// Every vertex's squared closed norm on a weighted graph, `None` on an
+/// unweighted one: the normalizers [`score_edge`] takes.
+pub fn closed_norms(g: &CsrGraph) -> Option<Vec<f64>> {
+    g.is_weighted()
+        .then(|| par_map(g.num_vertices(), 1024, |v| g.closed_norm_sq(v as VertexId)))
+}
+
+/// The one parallel score writer: call `score(u, v, s)` once per
+/// canonical slot `s` (`u < v`) and store the result on `s` and on its
+/// mirror. The exact kernels and both estimators write through here.
+pub fn score_canonical_slots<F>(g: &CsrGraph, score: F) -> EdgeSimilarities
+where
+    F: Fn(VertexId, VertexId, usize) -> f32 + Sync,
+{
+    write_canonical_slots(g, &g.twin_slots(), score)
+}
+
+/// [`score_canonical_slots`] with the caller's copy of `g`'s
+/// [`CsrGraph::twin_slots`], which makes the mirror a plain store. Only
+/// that permutation may be passed: the stores below are unchecked.
+fn write_canonical_slots<F>(g: &CsrGraph, twins: &[u32], score: F) -> EdgeSimilarities
+where
+    F: Fn(VertexId, VertexId, usize) -> f32 + Sync,
+{
+    let mut sims = vec![0f32; g.num_slots()];
+    let ptr = SyncMutPtr::new(&mut sims);
+    par_for(g.num_vertices(), 64, |u| {
+        let u = u as VertexId;
+        for s in g.slot_range(u) {
+            let v = g.slot_neighbor(s);
+            if v <= u {
+                continue;
+            }
+            let t = twins[s] as usize;
+            debug_assert!(g.slot_range(v).contains(&t) && g.slot_neighbor(t) == u);
+            let score = score(u, v, s);
+            // SAFETY: slot `s` and its twin `t` are written by exactly
+            // one (u, v) pair — the canonical one.
+            unsafe {
+                ptr.write(s, score);
+                ptr.write(t, score);
+            }
+        }
+    });
+    EdgeSimilarities::from_per_slot(sims)
+}
+
+/// Score every canonical slot from its open-neighborhood value
+/// `open_value(slot)` through [`score_edge`].
 fn finalize<F>(
     g: &CsrGraph,
     twins: &[u32],
@@ -540,31 +587,11 @@ fn finalize<F>(
 where
     F: Fn(usize) -> f64 + Sync,
 {
-    let n = g.num_vertices();
-    let norms: Option<Vec<f64>> = g
-        .is_weighted()
-        .then(|| par_map(n, 1024, |v| g.closed_norm_sq(v as VertexId)));
-
-    let mut sims = vec![0f32; g.num_slots()];
-    let ptr = SyncMutPtr::new(&mut sims);
-    par_for(n, 64, |u| {
-        let u = u as VertexId;
-        for s in g.slot_range(u) {
-            let v = g.slot_neighbor(s);
-            if v <= u {
-                continue;
-            }
-            let norms = norms.as_ref().map(|x| (x[u as usize], x[v as usize]));
-            let score = score_edge(g, measure, (u, v, s), open_value(s), norms);
-            // SAFETY: slot `s` and its twin are written by exactly one
-            // (u, v) pair — the canonical one.
-            unsafe {
-                ptr.write(s, score);
-                ptr.write(twins[s] as usize, score);
-            }
-        }
-    });
-    EdgeSimilarities::from_per_slot(sims)
+    let norms = closed_norms(g);
+    write_canonical_slots(g, twins, |u, v, s| {
+        let norms = norms.as_ref().map(|x| (x[u as usize], x[v as usize]));
+        score_edge(g, measure, (u, v, s), open_value(s), norms)
+    })
 }
 
 fn check_measure(g: &CsrGraph, measure: SimilarityMeasure) {

@@ -7,7 +7,8 @@
 //! `Σ = {2, 4, 8, …, 2^18} × {.01, .02, …, .99}` (Equation 1) and keep the
 //! modularity-maximizing setting. This module packages that loop as a
 //! library feature: a parallel sweep over grid points against one shared
-//! index, scored by any user-supplied quality function.
+//! index, scored by any user-supplied quality function. Σ itself is
+//! [`SweepGrid::stepped`]`(max_mu, 0.01)`.
 //!
 //! The engine is deliberately generic over the score so this crate does not
 //! depend on `parscan-metrics`; the workspace facade and the Figure 9/10
@@ -29,23 +30,15 @@ pub struct SweepGrid {
 }
 
 impl SweepGrid {
-    /// The paper's grid Σ (Equation 1): μ ∈ {2, 4, 8, …, 2^18} and
-    /// ε ∈ {.01, .02, …, .99}, with μ capped at `max_mu` (pass the graph's
-    /// max closed degree — larger μ yield empty clusterings anyway).
-    pub fn paper_sigma(max_mu: u32) -> Self {
-        SweepGrid {
-            mus: doubling_mus(max_mu),
-            epsilons: (1..=99).map(|i| i as f32 / 100.0).collect(),
-        }
-    }
-
-    /// The same μ doubling capped at `max_mu`, with ε at every multiple
-    /// of `eps_step` below 1: ε = `i as f32 * eps_step` for i = 1, 2, ….
-    /// Exact multiples, not repeated addition (which drifts in f32), so
-    /// `parscan sweep` and the server's `SWEEP` evaluate the same points.
-    /// `stepped(max_mu, 0.05)` is ε ∈ {0.05, 0.10, …, 0.95}. The grid
-    /// has about `1 / eps_step` ε values, so callers bound the step from
-    /// below.
+    /// μ ∈ {2, 4, 8, …, 2^18} capped at `max_mu` (pass the graph's max
+    /// closed degree — larger μ yield empty clusterings anyway), with ε
+    /// at every multiple of `eps_step` below 1: ε = `i as f32 * eps_step`
+    /// for i = 1, 2, …. Exact multiples, not repeated addition (which
+    /// drifts in f32), so `parscan sweep` and the server's `SWEEP`
+    /// evaluate the same points. `stepped(max_mu, 0.01)` is the paper's
+    /// grid Σ (Equation 1), ε ∈ {.01, .02, …, .99}; `stepped(max_mu,
+    /// 0.05)` is ε ∈ {0.05, 0.10, …, 0.95}. The grid has about
+    /// `1 / eps_step` ε values, so callers bound the step from below.
     ///
     /// # Panics
     /// If `eps_step` is not positive.
@@ -215,7 +208,7 @@ mod tests {
 
     #[test]
     fn paper_sigma_shape() {
-        let grid = SweepGrid::paper_sigma(1 << 20);
+        let grid = SweepGrid::stepped(1 << 20, 0.01);
         assert_eq!(grid.mus.first(), Some(&2));
         assert_eq!(grid.mus.last(), Some(&(1 << 18)));
         assert_eq!(grid.epsilons.len(), 99);
@@ -225,17 +218,17 @@ mod tests {
 
     #[test]
     fn sigma_caps_at_max_mu() {
-        let grid = SweepGrid::paper_sigma(10);
+        let grid = SweepGrid::stepped(10, 0.01);
         assert_eq!(grid.mus, vec![2, 4, 8]);
         // Degenerate cap still yields a usable grid.
-        let tiny = SweepGrid::paper_sigma(1);
+        let tiny = SweepGrid::stepped(1, 0.01);
         assert_eq!(tiny.mus, vec![2]);
     }
 
     #[test]
     fn stepped_grid_is_exact_multiples_of_the_step() {
         let coarse = SweepGrid::stepped(10, 0.05);
-        assert_eq!(coarse.mus, SweepGrid::paper_sigma(10).mus);
+        assert_eq!(coarse.mus, vec![2, 4, 8]);
         assert_eq!(coarse.epsilons.len(), 19);
         // Repeated f32 addition gives 0.40000004 here.
         assert_eq!(coarse.epsilons[7], 0.4f32);

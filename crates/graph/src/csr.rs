@@ -276,33 +276,16 @@ impl CsrGraph {
     }
 
     /// Check all structural invariants; returns a description on failure.
+    /// The same `O(n + m)` check that loading a graph runs.
     pub fn validate(&self) -> Result<(), String> {
-        if self.offsets.is_empty() {
-            return Err("offsets must have length n + 1 >= 1".into());
-        }
-        if self.offsets[0] != 0 || *self.offsets.last().unwrap() != self.neighbors.len() {
-            return Err("offsets must start at 0 and end at slot count".into());
-        }
-        if let Some(w) = &self.weights {
-            if w.len() != self.neighbors.len() {
-                return Err("weights length must match neighbors".into());
-            }
-        }
-        if let Some(v) = (0..self.num_vertices()).find(|&v| self.offsets[v] > self.offsets[v + 1]) {
-            return Err(format!("offsets not monotone at vertex {v}"));
-        }
-        if !self.neighbors.len().is_multiple_of(2) {
-            return Err("odd number of slots".into());
-        }
-        let all: Vec<VertexId> = (0..self.num_vertices() as VertexId).collect();
-        self.check_lists(&all)
+        validate_parts(&self.offsets, &self.neighbors, self.weights.as_deref())
     }
 
     /// Check the lists of `vertices`: each list strictly sorted, in range
     /// and free of self-loops, and each of its slots `(v → x)` mirrored by
     /// a slot `(x → v)` in `x`'s list with the same weight.
     /// `O(Σ deg log deg)` over `vertices`: what a patch checks of the lists
-    /// it rewrote, and [`Self::validate`] of every list.
+    /// it rewrote.
     pub(crate) fn check_lists(&self, vertices: &[VertexId]) -> Result<(), String> {
         let n = self.num_vertices();
         let errors = parscan_parallel::filter::filter_map_index(vertices.len(), |k| {

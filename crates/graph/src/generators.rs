@@ -192,77 +192,6 @@ fn x_inter() -> u64 {
     x_seed("inter")
 }
 
-/// Barabási–Albert preferential attachment: start from a small clique and
-/// attach each new vertex to `m_attach` existing vertices chosen
-/// proportionally to degree (via the repeated-endpoint trick: sampling a
-/// uniform endpoint of an existing edge is degree-proportional). Produces
-/// power-law degree tails like the paper's social graphs, with a growth
-/// process instead of R-MAT's recursive quadrants.
-pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> CsrGraph {
-    assert!(m_attach >= 1 && n > m_attach);
-    let mut rng = SmallRng::seed_from_u64(hash64_pair(seed, x_seed("ba")));
-    // Endpoint pool: every edge contributes both endpoints, so uniform
-    // draws from the pool are degree-proportional.
-    let mut pool: Vec<VertexId> = Vec::with_capacity(2 * n * m_attach);
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(n * m_attach);
-    let core = m_attach + 1;
-    for u in 0..core as VertexId {
-        for v in (u + 1)..core as VertexId {
-            edges.push((u, v));
-            pool.push(u);
-            pool.push(v);
-        }
-    }
-    for v in core..n {
-        let v = v as VertexId;
-        // Sample m distinct targets (retry on duplicates — m is small).
-        let mut targets: Vec<VertexId> = Vec::with_capacity(m_attach);
-        while targets.len() < m_attach {
-            let t = pool[rng.gen_range(0..pool.len())];
-            if !targets.contains(&t) {
-                targets.push(t);
-            }
-        }
-        for &t in &targets {
-            edges.push((v, t));
-            pool.push(v);
-            pool.push(t);
-        }
-    }
-    from_edges(n, &edges)
-}
-
-/// Watts–Strogatz small world: a ring lattice where each vertex connects
-/// to its `k/2` nearest neighbors on each side, with every edge's far
-/// endpoint rewired uniformly at random with probability `beta`. High
-/// clustering coefficient at small `beta` — the regime where SCAN's
-/// triangle-based similarity is most structured.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CsrGraph {
-    assert!(
-        k >= 2 && k.is_multiple_of(2) && n > k,
-        "need even k in [2, n)"
-    );
-    assert!((0.0..=1.0).contains(&beta));
-    let mut rng = SmallRng::seed_from_u64(hash64_pair(seed, x_seed("ws")));
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(n * k / 2);
-    for u in 0..n {
-        for d in 1..=(k / 2) {
-            let v = (u + d) % n;
-            if rng.gen_bool(beta) {
-                // Rewire: pick a random non-self target; the builder drops
-                // any duplicate this may create.
-                let w = rng.gen_range(0..n);
-                if w != u {
-                    edges.push((u as VertexId, w as VertexId));
-                    continue;
-                }
-            }
-            edges.push((u as VertexId, v as VertexId));
-        }
-    }
-    from_edges(n, &edges)
-}
-
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> CsrGraph {
     let mut edges = Vec::with_capacity(n * (n - 1) / 2);
@@ -416,52 +345,6 @@ mod tests {
                 assert!((0.05..0.4).contains(&w));
             }
         }
-    }
-
-    #[test]
-    fn barabasi_albert_power_law_tail() {
-        let g = barabasi_albert(5_000, 4, 11);
-        assert_eq!(g.validate(), Ok(()));
-        // Every late vertex attaches m distinct targets; early clique + dedup
-        // keep the count near n·m.
-        assert!(g.num_edges() >= 4 * (5_000 - 5));
-        let avg = 2.0 * g.num_edges() as f64 / g.num_vertices() as f64;
-        assert!(
-            g.max_degree() as f64 > 8.0 * avg,
-            "expected hub: max {} avg {avg}",
-            g.max_degree()
-        );
-        // Deterministic per seed.
-        assert_eq!(g, barabasi_albert(5_000, 4, 11));
-    }
-
-    #[test]
-    fn watts_strogatz_regimes() {
-        // β = 0: the exact ring lattice, degree k everywhere.
-        let lattice = watts_strogatz(500, 6, 0.0, 3);
-        assert_eq!(lattice.validate(), Ok(()));
-        assert!(lattice.degrees().iter().all(|&d| d == 6));
-        // β = 1: fully rewired; ring regularity destroyed but size similar.
-        let random = watts_strogatz(500, 6, 1.0, 3);
-        assert_eq!(random.validate(), Ok(()));
-        assert!(random.num_edges() <= lattice.num_edges());
-        assert!(random.num_edges() > lattice.num_edges() / 2);
-        // Small-β keeps most lattice edges.
-        let small = watts_strogatz(500, 6, 0.05, 3);
-        let kept = small
-            .canonical_edges()
-            .filter(|&(u, v, _)| {
-                let d = (v as i64 - u as i64).rem_euclid(500);
-                d <= 3 || d >= 497
-            })
-            .count();
-        assert!(kept as f64 > 0.85 * small.num_edges() as f64);
-    }
-
-    #[test]
-    #[should_panic(expected = "even k")]
-    fn watts_strogatz_rejects_odd_k() {
-        watts_strogatz(100, 3, 0.1, 1);
     }
 
     #[test]

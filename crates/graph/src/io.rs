@@ -300,9 +300,21 @@ pub fn write_binary<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {
     w.flush()
 }
 
+/// Bytes of a binary file whose header reads `n` vertices, `slots` slots
+/// and `weighted`; `None` when that length overflows `u64`.
+fn binary_file_len(n: u64, slots: u64, weighted: bool) -> Option<u64> {
+    let slot_bytes = if weighted { 8 } else { 4 };
+    n.checked_add(1)?
+        .checked_mul(8)?
+        .checked_add(slots.checked_mul(slot_bytes)?)?
+        .checked_add(25)
+}
+
 /// Read the binary format, validating structure.
 pub fn read_binary<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -315,8 +327,15 @@ pub fn read_binary<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
     let mut flag = [0u8; 1];
     r.read_exact(&mut flag)?;
     let weighted = flag[0] != 0;
-    let n = read_u64(&mut r)? as usize;
-    let slots = read_u64(&mut r)? as usize;
+    let (n, slots) = (read_u64(&mut r)?, read_u64(&mut r)?);
+    // The header's lengths must account for the file exactly, checked
+    // before any allocation: a crafted n or slots cannot balloon one.
+    if binary_file_len(n, slots, weighted) != Some(file_len) {
+        return Err(bad_data(format!(
+            "header (n = {n}, slots = {slots}) does not match the file's {file_len} bytes"
+        )));
+    }
+    let (n, slots) = (n as usize, slots as usize);
     let mut offsets = Vec::with_capacity(n + 1);
     for _ in 0..=n {
         offsets.push(read_u64(&mut r)? as usize);
@@ -336,8 +355,7 @@ pub fn read_binary<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
     } else {
         None
     };
-    let g = CsrGraph::from_parts(offsets, neighbors, weights);
-    Ok(g)
+    CsrGraph::try_from_parts(offsets, neighbors, weights).map_err(bad_data)
 }
 
 fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
@@ -437,6 +455,37 @@ mod tests {
         std::fs::write(&p, b"NOTAGRAPH").unwrap();
         assert!(read_binary(&p).is_err());
         std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn crafted_binary_files_are_invalid_data() {
+        let file = |n: u64, slots: u64, body: &[u8]| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&VERSION.to_le_bytes());
+            bytes.push(0);
+            bytes.extend_from_slice(&n.to_le_bytes());
+            bytes.extend_from_slice(&slots.to_le_bytes());
+            bytes.extend_from_slice(body);
+            bytes
+        };
+        // 25 bytes claiming 2^45 vertices: sizing the offsets from the
+        // header would ask for 256 TiB and abort the process.
+        let huge = file(1 << 45, 0, &[]);
+        assert_eq!(huge.len(), 25);
+        // Sized right, but vertex 0's two slots are self-loops.
+        let mut loops = Vec::new();
+        for o in [0u64, 2, 2] {
+            loops.extend_from_slice(&o.to_le_bytes());
+        }
+        loops.extend_from_slice(&[0; 8]);
+        let loops = file(2, 2, &loops);
+        for (name, bytes) in [("huge_header", huge), ("self_loops", loops)] {
+            let p = tmp(name);
+            std::fs::write(&p, &bytes).unwrap();
+            let err = read_binary(&p).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+            std::fs::remove_file(p).ok();
+        }
     }
 
     /// Chunk counts that cut a small file in different places.

@@ -53,7 +53,9 @@ pub fn write_metis<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {
 /// Read a METIS-format graph, validating the header, symmetry, and edge
 /// count.
 pub fn read_metis<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
-    let reader = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let reader = BufReader::new(file);
     let mut lines = reader.lines();
 
     // Header: first non-comment line.
@@ -95,6 +97,13 @@ pub fn read_metis<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
     };
     if n > u32::MAX as usize {
         return Err(bad(format!("vertex count {n} exceeds u32 ids")));
+    }
+    // Every edge takes bytes of the file, so a larger `m` is a lie, caught
+    // before it sizes the edge buffer.
+    if m as u64 > file_len {
+        return Err(bad(format!(
+            "header claims {m} edges in a {file_len}-byte file"
+        )));
     }
 
     // Adjacency lines: one per vertex, in order, skipping comments.
@@ -262,6 +271,18 @@ mod tests {
         std::fs::write(&p, "3 3\n2\n1 3\n2\n").unwrap();
         let err = read_metis(&p).unwrap_err();
         assert!(err.to_string().contains("header claims"), "{err}");
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn an_edge_count_beyond_the_file_size_is_invalid_data() {
+        // 18 bytes claiming 10^12 edges: sizing the edge buffer from the
+        // header would ask for 24 TB and abort the process.
+        let p = tmp("huge_m");
+        std::fs::write(&p, "1 1000000000000\n\n\n").unwrap();
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), 18);
+        let err = read_metis(&p).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_file(p).ok();
     }
 

@@ -1,11 +1,8 @@
 //! Clustering quality measures (§7.2 of the paper): modularity (weighted
-//! and unweighted) and the adjusted Rand index (ARI), plus normalized
-//! mutual information (NMI) for the §9 future-work comparisons.
+//! and unweighted) and the adjusted Rand index (ARI).
 
 pub mod ari;
 pub mod modularity;
-pub mod nmi;
 
 pub use ari::adjusted_rand_index;
 pub use modularity::modularity;
-pub use nmi::normalized_mutual_information;

@@ -34,8 +34,6 @@ fn main() {
             method: ApproxMethod::SimHashCosine,
             samples: k,
             seed: 100 + k as u64,
-            degree_heuristic: true,
-            ..Default::default()
         };
         let t0 = Instant::now();
         let index = build_approx_index(g.clone(), config);

@@ -41,8 +41,6 @@ fn main() {
             method: ApproxMethod::SimHashCosine,
             samples: k,
             seed: k as u64,
-            degree_heuristic: true,
-            ..Default::default()
         };
         let t0 = Instant::now();
         let approx = build_approx_index(g.clone(), config);

@@ -16,7 +16,7 @@
 //! - [`baselines`] — original SCAN, sequential GS*-Index, pSCAN/ppSCAN,
 //!   SCAN-XP ([`parscan_baselines`])
 //! - [`dense`] — matmul similarities for dense graphs ([`parscan_dense`])
-//! - [`metrics`] — modularity, ARI & NMI ([`parscan_metrics`])
+//! - [`metrics`] — modularity & ARI ([`parscan_metrics`])
 //! - [`parallel`] — the shared-memory primitives: one flat worker pool
 //!   running data-parallel loops, and the parallel for/map/reduce, scan,
 //!   filter, sorts, hash tables and union-find built on it

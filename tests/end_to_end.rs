@@ -72,8 +72,6 @@ fn approximate_pipeline_end_to_end() {
             method: ApproxMethod::SimHashCosine,
             samples: 256,
             seed: 9,
-            degree_heuristic: true,
-            ..Default::default()
         },
     );
     let c = index.cluster_with(QueryParams::new(3, 0.5), BorderAssignment::MostSimilar);

@@ -4,7 +4,7 @@
 //! facade.
 
 use parscan::core::sweep::{sweep, sweep_with_best, SweepGrid};
-use parscan::metrics::{adjusted_rand_index, modularity, normalized_mutual_information};
+use parscan::metrics::{adjusted_rand_index, modularity};
 use parscan::prelude::*;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -59,7 +59,6 @@ fn approximate_index_round_trips() {
             method: ApproxMethod::SimHashCosine,
             samples: 256,
             seed: 7,
-            ..Default::default()
         },
     );
     let path = tmp("approx.pscidx");
@@ -121,11 +120,9 @@ fn sweep_engine_beats_fixed_parameters_on_planted_graphs() {
         }
     });
     assert!(result.best_score() > 0.5, "got {}", result.best_score());
-    // The modularity-maximizing clustering recovers the planted partition
-    // well by both external measures.
+    // The modularity-maximizing clustering recovers the planted partition.
     let labels = best.labels_with_singletons();
     assert!(adjusted_rand_index(&labels, &truth) > 0.5);
-    assert!(normalized_mutual_information(&labels, &truth) > 0.5);
 }
 
 #[test]

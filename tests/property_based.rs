@@ -98,11 +98,9 @@ proptest! {
 
     #[test]
     fn metrics_identities(labels in proptest::collection::vec(0u32..5, 1..100)) {
-        // ARI and NMI of a partition with itself are 1.
+        // The ARI of a partition with itself is 1.
         let ari = parscan::metrics::adjusted_rand_index(&labels, &labels);
         prop_assert!((ari - 1.0).abs() < 1e-9);
-        let nmi = parscan::metrics::normalized_mutual_information(&labels, &labels);
-        prop_assert!((nmi - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -112,14 +110,11 @@ proptest! {
             proptest::collection::vec(0u32..6, n),
         )),
     ) {
-        // Renaming cluster ids changes neither ARI nor NMI.
+        // Renaming cluster ids does not change the ARI.
         let renamed: Vec<u32> = labels.iter().map(|&l| 7 * l + 13).collect();
         let ari_a = parscan::metrics::adjusted_rand_index(&labels, &other);
         let ari_b = parscan::metrics::adjusted_rand_index(&renamed, &other);
         prop_assert!((ari_a - ari_b).abs() < 1e-9);
-        let nmi_a = parscan::metrics::normalized_mutual_information(&labels, &other);
-        let nmi_b = parscan::metrics::normalized_mutual_information(&renamed, &other);
-        prop_assert!((nmi_a - nmi_b).abs() < 1e-9);
     }
 
     #[test]
@@ -175,8 +170,6 @@ proptest! {
             method: ApproxMethod::SimHashCosine,
             samples: 4096,
             seed: 1,
-            degree_heuristic: true,
-            ..Default::default()
         };
         let exact = compute_full_merge(&g, SimilarityMeasure::Cosine);
         let approx = parscan::approx::approx_index::approx_similarities(&g, &config);
